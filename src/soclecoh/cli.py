@@ -5,9 +5,10 @@ Exit codes are fixed so harnesses can assert precisely:
 
     0  success
     2  unparseable input (bad flags, malformed group/phi files)
-    3  standing-assumption failure (top quotient not free over Z/l^n)
+    3  standing-assumption failure (top quotient not free over Z/l^n, or the
+       group ring's augmentation ideal not nilpotent)
     4  size bound exceeded
-    5  phi fails validation (not equivariant / not well-defined)
+    5  phi fails validation (wrong shape / not well-defined / not equivariant)
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     NotAGroup,
     NotEllGroup,
     NotFreeModule,
+    NotNilpotent,
     QuotientNotFree,
     SizeBound,
     UnknownCatalogEntry,
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuotientNotFree, NotFreeModule) as exc:
+    except (QuotientNotFree, NotFreeModule, NotNilpotent) as exc:
         print(f"standing assumption failed: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except SizeBound as exc:

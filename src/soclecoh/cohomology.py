@@ -317,11 +317,38 @@ class CochainComplex:
             return None
         return self.unflat(x, f.degree - 1)
 
+    def _generator_cocycle_solver(self) -> LinearSolver:
+        """Howell solver for d: C^2 -> C^3 cut to the columns (x, y, s), s a generator.
+
+        Its kernel is Z^2.  In the extension twisted by a normalized 2-cochain
+        f, the elements w with (uv)w = u(vw) for all u, v are closed under
+        products and contain the module, so f is a cocycle as soon as the
+        cocycle identity holds for every last argument in a generating set
+        (Light's associativity test).
+        """
+        gens = self.action.group.generators
+        slot = {s - 1: i for i, s in enumerate(gens)}
+        ncols = self.grid(2) * len(gens) * self.t
+        cells = self.dim(2) + ncols
+        if cells > self.max_cells:
+            raise SizeBound("generator-restricted degree-2 cocycle matrix", self.max_cells, cells)
+        rows = []
+        for row in self.diff_rows(2):
+            cut = {}
+            for c, v in row.items():
+                tup, j = divmod(c, self.t)
+                head, last = divmod(tup, self.n1)
+                i = slot.get(last)
+                if i is not None:
+                    cut[(head * len(gens) + i) * self.t + j] = v
+            rows.append(cut)
+        return LinearSolver(rows, ncols, self.action.module.ring)
+
     def cocycle_basis(self, k: int) -> HowellBasis:
         """Scaled basis of Z^k inside the flat coordinate space."""
         q = self.action.module.ring.modulus
         orders = self.action.module.orders
-        s = self.solver(k)
+        s = self._generator_cocycle_solver() if k == 2 else self.solver(k)
         ring = self.action.module.ring
         scaled = []
         for row in s.kernel_row_tuples():
@@ -637,8 +664,8 @@ def inflation_h2_surjective(ext: ExtensionData, max_order: int = DEFAULT_H2_MAX_
     if g.order > max_order:
         raise SizeBound("total group order for the H^2 check", max_order, g.order)
     ring = ext.ring
-    big = CochainComplex(CoeffAction.trivial(g, ring), max_cells=10**9)
-    small = CochainComplex(CoeffAction.trivial(ext.quotient, ring), max_cells=10**9)
+    big = CochainComplex(CoeffAction.trivial(g, ring))
+    small = CochainComplex(CoeffAction.trivial(ext.quotient, ring))
     z_big = big.cocycle_basis(2)
     b_big = big.coboundary_basis(2)
     inflated = []

@@ -94,5 +94,10 @@ class SizeBound(SocleCohError):
         self.actual = actual
 
 
+class NotNilpotent(SocleCohError):
+    """The augmentation ideal of the group ring, or the socle series of a
+    module over it, failed to terminate: the group does not act nilpotently."""
+
+
 class NormalityFailure(SocleCohError):
     """Internal assertion: a subgroup the theory guarantees normal is not."""

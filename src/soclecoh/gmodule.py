@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatch, NotFreeModule
+from .errors import DimensionMismatch, NotFreeModule, NotNilpotent
 from .fingroup import ExtensionData, FinGroup, abelian_structure
 from .zmodlin import (
     HowellBasis,
@@ -466,7 +466,7 @@ class GroupRing:
         while len(self.ideal_basis(m)) > 0:
             m += 1
             if m > self.ring.n * self.size + 2:
-                raise RuntimeError("augmentation ideal failed to vanish")
+                raise NotNilpotent("augmentation ideal failed to vanish")
         return m
 
 
@@ -733,7 +733,7 @@ def socle_series(jmod: GModule, gr: GroupRing) -> SocleChain:
         if jm == full:
             return SocleChain(jmod, tuple(steps), m)
         if len(steps) > 1 and steps[-1] == steps[-2]:
-            raise RuntimeError("socle series stalled before exhausting the module")
+            raise NotNilpotent("socle series stalled before exhausting the module")
         m += 1
 
 

@@ -74,13 +74,19 @@ DEFAULT_HOM_ENUM_BOUND = 4096
 DEFAULT_JM_EXHAUSTIVE_BOUND = 256
 
 
+def _check_phi_shape(ctx: "ObstructionContext", m: int, matrix) -> None:
+    rows, cols = ctx.em.i_m(m).module.rank, ctx.em.j.module.rank
+    if len(matrix) != rows or any(len(r) != cols for r in matrix):
+        raise EquivarianceFailure(f"phi matrix must be {rows} x {cols}")
+
+
 @dataclass(frozen=True)
 class PhiMap:
     """Equivariant R-linear map I/I^m -> J in canonical coordinates.
 
     matrix[a] is the J-coordinate vector of the a-th canonical I_m basis
     vector.  Equivariance is validated at construction; the image landing in
-    J_{m-1} follows and is asserted.
+    J_{m-1} follows, and is checked too.
     """
 
     ctx: "ObstructionContext"
@@ -92,10 +98,7 @@ class PhiMap:
         im = ctx.em.i_m(m)
         jmod = ctx.em.j.module
         mat = self.matrix
-        if len(mat) != im.module.rank or any(len(r) != jmod.rank for r in mat):
-            raise EquivarianceFailure(
-                f"phi matrix must be {im.module.rank} x {jmod.rank}"
-            )
+        _check_phi_shape(ctx, m, mat)
         for a, row in enumerate(mat):
             for b, v in enumerate(row):
                 if not 0 <= v < jmod.orders[b]:
@@ -115,9 +118,11 @@ class PhiMap:
                             witness=("sigma", i, "basis", a),
                         )
         if m >= 2:
-            jm1 = ctx.em.socle.basis(m - 1)
-            for row in mat:
-                assert ctx.em.socle.member(row, m - 1), "image escaped J_{m-1}"
+            for a, row in enumerate(mat):
+                if not ctx.em.socle.member(row, m - 1):
+                    raise EquivarianceFailure(
+                        "phi image escaped J_{m-1}", witness=("basis", a)
+                    )
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.matrix)
@@ -222,6 +227,7 @@ class ObstructionContext:
     # -- phi constructors ---------------------------------------------------
 
     def phi_from_matrix(self, m: int, matrix) -> PhiMap:
+        _check_phi_shape(self, m, matrix)
         jmod = self.em.j.module
         reduced = tuple(
             tuple(v % jmod.orders[b] for b, v in enumerate(row)) for row in matrix

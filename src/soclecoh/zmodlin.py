@@ -209,10 +209,6 @@ def _howell_dicts(rows, ring: RingConfig):
     return pivots
 
 
-def _bit_positions(x: int):
-    return [i for i, ch in enumerate(bin(x)[:1:-1]) if ch == "1"]
-
-
 def _howell_bits(rows):
     """RREF over F_2 with rows packed as ints (bit j = column j)."""
     table = {}
@@ -225,15 +221,17 @@ def _howell_bits(rows):
                 break
             row ^= p
     cols = sorted(table)
-    for i in range(len(cols) - 1, -1, -1):
-        c = cols[i]
+    pivot_mask = sum(1 << c for c in cols)
+    for c in reversed(cols):
         r = table[c]
-        for c2 in _bit_positions(r >> (c + 1)):
-            c2 += c + 1
-            if c2 in table:
-                r ^= table[c2]
+        # rows of larger pivots are already reduced: each XOR clears one pivot bit
+        hits = (r & pivot_mask) >> (c + 1)
+        while hits:
+            low = hits & -hits
+            r ^= table[c + low.bit_length()]
+            hits ^= low
         table[c] = r
-    return [(c, 0, table[c]) for c in sorted(table)]
+    return [(c, 0, table[c]) for c in cols]
 
 
 class LinearSolver:

@@ -1,8 +1,11 @@
 """Exit codes, report formats, and determinism of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
-
+import soclecoh
 from helpers import mixer32
 from soclecoh.cli import main
 
@@ -171,6 +174,23 @@ def test_exit_5_on_nonequivariant_phi(capsys, tmp_path):
     )
     assert code == 5
     assert "phi validation failed" in err
+
+
+def test_exit_5_on_misshapen_phi(tmp_path):
+    # run as a process, so a traceback would show on its real stderr
+    pf = tmp_path / "phi.json"
+    pf.write_text(json.dumps({"m": 2, "matrix": [[1, 2, 3]]}))
+    src = os.path.dirname(os.path.dirname(soclecoh.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "soclecoh.cli", "obstruction", "--catalog", "quaternion8",
+         "--ell", "2", "--n", "1", "--m", "2", "--phi-file", str(pf)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 5
+    assert "phi matrix must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_phi_file_happy_path(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from soclecoh.errors import NotFreeModule
+from soclecoh.errors import NotFreeModule, NotNilpotent
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import (
     ExtensionModules,
@@ -78,6 +78,14 @@ def test_ideal_square_zero_f2_z2():
     gr = group_ring(catalog("cyclic", {"ell": 2, "k": 1}), R2)
     assert len(gr.ideal_basis(1)) == 1
     assert len(gr.ideal_basis(2)) == 0  # (sigma - 1)^2 = 0
+
+
+def test_ideal_that_never_vanishes_raises_not_nilpotent(monkeypatch):
+    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    i1 = gr.ideal_basis(1)
+    monkeypatch.setattr(gr, "ideal_basis", lambda m: i1)
+    with pytest.raises(NotNilpotent):
+        gr.nilpotency_degree()
 
 
 def test_ideal_chain_z4_z4():

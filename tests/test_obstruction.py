@@ -1,6 +1,7 @@
 """The obstruction map: three routes, the quotient recipe, and the theorem."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, WrongLeve
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import vec_reduce
 from soclecoh.obstruction import ObstructionContext, make_context
-from soclecoh.zmodlin import RingConfig
+from soclecoh.zmodlin import RingConfig, zero_basis
 
 R2 = RingConfig(2, 1)
 R3 = RingConfig(3, 1)
@@ -91,6 +92,18 @@ def test_phi_matrix_validation():
             pass
     assert accepted == basis.span_size()
     assert accepted < 2 ** (j.rank * im.module.rank)
+
+
+def test_phi_image_outside_socle_level_rejected(monkeypatch):
+    ctx = ctx_for("mixer32")
+    deep = [g for g in ctx.enumerate_jm(2) if not ctx.em.socle.member(g, 1)]
+    phi = ctx.phi_from_gamma(deep[0], 2)
+    socle = ctx.em.socle
+    # pretend J_1 = 0, so the nonzero image of phi escapes it
+    empty = zero_basis(socle.steps[0].ambient_rank, ctx.ring)
+    monkeypatch.setattr(ctx.em, "socle", replace(socle, steps=(empty,) + socle.steps[1:]))
+    with pytest.raises(EquivarianceFailure, match="escaped"):
+        ctx.phi_from_matrix(2, phi.matrix)
 
 
 # -- route A -------------------------------------------------------------------
