@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 
 from .errors import (
@@ -181,24 +182,7 @@ def _phi_records(ctx, args):
     elif args.random is not None:
         if args.seed is None:
             raise ValueError("--random needs --seed")
-        import random as _random
-
-        rng = _random.Random(args.seed)
-        hm, basis = ctx.hom_phi_basis(m)
-        orders = basis.coordinate_orders()
-        from .gmodule import vec_reduce
-
-        for _ in range(args.random):
-            cs = [rng.randrange(o) for o in orders]
-            v = [0] * hm.module.rank
-            for ci, row in zip(cs, basis.rows):
-                for j, x in enumerate(row):
-                    v[j] = (v[j] + ci * x) % ctx.ring.modulus
-            coords = vec_reduce(
-                tuple(x // (ctx.ring.modulus // o) for x, o in zip(v, hm.module.orders)),
-                hm.module.orders,
-            )
-            yield ctx.phi_from_matrix(m, hm.coords_to_matrix(coords))
+        yield from ctx.random_phi(m, random.Random(args.seed), args.random)
     else:
         yield from ctx.enumerate_phi(m)
 

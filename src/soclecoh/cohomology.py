@@ -73,9 +73,6 @@ class CoeffAction:
     def act(self, x: int, v):
         return mat_apply(v, self.mats[x], self.module.orders)
 
-    def act_inv(self, x: int, v):
-        return mat_apply(v, self.mats[self.group.inv(x)], self.module.orders)
-
 
 def action_for_quotient_module(ext: ExtensionData, module: GModule) -> CoeffAction:
     """G acting on one of its own modules (generators = ext.sigma)."""
@@ -145,73 +142,59 @@ class Cochain:
 
 
 def differential(f: Cochain) -> Cochain:
-    """Bar differential, evaluated only where the support can contribute."""
+    """Bar differential, evaluated only where the support can contribute.
+
+    One accumulator of plain ints per module coordinate.  Only the first
+    face g1.f(g2..) mixes coordinates, and only under a nontrivial action;
+    every other face adds +-f(..) to each coordinate on its own.  An inner
+    face f(..g_i g_{i+1}..) reaches the tuples that split a support entry
+    t = g_i g_{i+1} into a product a.b, which the group's merges table lists.
+    """
     act = f.action
     grp = act.group
     orders = act.module.orders
     k = f.degree
     ident = grp.identity
     nonid = [g for g in grp.elements() if g != ident]
+    merges = grp.merges() if k else ()
     last_sign = -1 if (k + 1) % 2 else 1
     trivial = all(m is act.mats[ident] or m == act.mats[ident] for m in act.mats)
-    acc = {}
-    get = acc.get
-    if trivial and len(orders) == 1:
-        # hot path: rank-1 values under a trivial action are plain ints
-        q = orders[0]
-        for tup, vec in f.values.items():
-            v = vec[0]
-            lv = last_sign * v
+    accs = [{} for _ in orders]
+    for tup, vec in f.values.items():
+        if not trivial:
             for g in nonid:
                 t1 = (g,) + tup
-                acc[t1] = get(t1, 0) + v
+                for acc, x in zip(accs, act.act(g, vec)):
+                    if x:
+                        acc[t1] = acc.get(t1, 0) + x
+        for acc, v in zip(accs, vec):
+            if not v:
+                continue
+            get = acc.get
+            lv = last_sign * v
+            for g in nonid:
+                if trivial:  # g1.f(g2..) = f(g2..)
+                    t1 = (g,) + tup
+                    acc[t1] = get(t1, 0) + v
                 t2 = tup + (g,)
                 acc[t2] = get(t2, 0) + lv
             for i in range(k):
                 sv = -v if (i + 1) % 2 else v
-                ti = tup[i]
                 head, tail = tup[:i], tup[i + 1 :]
-                for a in nonid:
-                    b = grp.mul(grp.inv(a), ti)
-                    if b == ident:
-                        continue
-                    merged = head + (a, b) + tail
-                    acc[merged] = get(merged, 0) + sv
-        out = {}
-        for tup, v in acc.items():
-            rv = v % q
-            if rv and ident not in tup:
-                out[tup] = (rv,)
-        return Cochain(act, k + 1, out)
-
-    def bump(tup, vec):
-        if ident in tup:
-            return
-        cur = acc.get(tup)
-        if cur is None:
-            acc[tup] = list(vec)
-        else:
-            for i, x in enumerate(vec):
-                cur[i] += x
-
-    for tup, vec in f.values.items():
-        for g in nonid:
-            bump((g,) + tup, vec if trivial else act.act(g, vec))
-            bump(tup + (g,), [last_sign * x for x in vec])
-        for i in range(k):
-            sign = -1 if (i + 1) % 2 else 1
-            ti = tup[i]
-            for a in nonid:
-                b = grp.mul(grp.inv(a), ti)
-                if b == ident:
-                    continue
-                merged = tup[:i] + (a, b) + tup[i + 1 :]
-                bump(merged, [sign * x for x in vec])
+                for a, b in merges[tup[i]]:
+                    t3 = head + (a, b) + tail
+                    acc[t3] = get(t3, 0) + sv
+    # reduce each coordinate and gather the nonzero value vectors
     out = {}
-    for tup, vec in acc.items():
-        rv = tuple(x % o for x, o in zip(vec, orders))
-        if any(rv):
-            out[tup] = rv
+    zero = (0,) * len(orders)
+    for j, (acc, o) in enumerate(zip(accs, orders)):
+        head, tail = zero[:j], zero[j + 1 :]
+        get = out.get
+        for tup, x in acc.items():
+            x %= o
+            if x and ident not in tup:
+                vec = get(tup)
+                out[tup] = head + (x,) + tail if vec is None else vec[:j] + (x,) + vec[j + 1 :]
     return Cochain(act, k + 1, out)
 
 

@@ -2,9 +2,10 @@
 
 Elements are integer indices into a canonical ordering: identity first, then
 breadth-first from the ordered generator list under right multiplication.
-Every constructor validates the full group axioms (sizes stay at or below 64,
-so the cubic associativity check is cheap) and, when a prime is supplied,
-that all element orders are powers of it.
+Every constructor validates the full group axioms and, when a prime is
+supplied, that all element orders are powers of it.  Orders above
+MAX_GROUP_ORDER are refused with SizeBound before any element list or table
+is built, which also keeps the cubic associativity check bounded.
 
 Commutator convention: [x, y] = x^-1 y^-1 x y.
 """
@@ -20,25 +21,40 @@ from .errors import (
     NotEllGroup,
     NotNormal,
     QuotientNotFree,
+    SizeBound,
     UnknownCatalogEntry,
 )
 from .zmodlin import RingConfig
+
+MAX_GROUP_ORDER = 512
+
+
+def _check_order(base: int, exponent: int = 1) -> None:
+    """Refuse a group of order base**exponent above MAX_GROUP_ORDER.
+
+    A base of at least 2 with an exponent of at least 10 always exceeds it,
+    so a huge parameter is refused without computing the power.
+    """
+    if base >= 2 and (
+        exponent >= MAX_GROUP_ORDER.bit_length() or base**exponent > MAX_GROUP_ORDER
+    ):
+        order = base if exponent == 1 else f"{base}^{exponent}"
+        raise SizeBound("group order", MAX_GROUP_ORDER, order)
 
 
 class FinGroup:
     """Finite group on indices 0..order-1 with an explicit Cayley table."""
 
-    __slots__ = ("order", "cayley", "identity", "generators", "labels", "_inv", "_orders")
+    __slots__ = (
+        "order", "cayley", "identity", "generators", "labels", "_inv", "_orders", "_merges"
+    )
 
     def __init__(self, cayley, generators, labels=None, *, ell=None, relabel=True):
-        group, _ = _build_group(cayley, generators, labels=labels, ell=ell, relabel=relabel)
-        self.order = group[0]
-        self.cayley = group[1]
-        self.identity = group[2]
-        self.generators = group[3]
-        self.labels = group[4]
-        self._inv = group[5]
-        self._orders = group[6]
+        (
+            self.order, self.cayley, self.identity, self.generators, self.labels,
+            self._inv, self._orders,
+        ) = _build_group(cayley, generators, labels=labels, ell=ell, relabel=relabel)
+        self._merges = None
 
     # -- basic operations ---------------------------------------------------
 
@@ -72,6 +88,19 @@ class FinGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    def merges(self) -> tuple:
+        """merges()[t] lists the pairs (a, b) with a.b = t, a != 1 != b, by
+        increasing a.  Built on first use: it holds (order - 1)^2 pairs."""
+        if self._merges is None:
+            out = [[] for _ in range(self.order)]
+            nonid = [x for x in self.elements() if x != self.identity]
+            for a in nonid:
+                row = self.cayley[a]
+                for b in nonid:
+                    out[row[b]].append((a, b))
+            self._merges = tuple(tuple(pairs) for pairs in out)
+        return self._merges
 
     def is_abelian(self) -> bool:
         c = self.cayley
@@ -132,10 +161,11 @@ def _validate_table(cayley):
 
 
 def _build_group(cayley, generators, labels=None, ell=None, relabel=True):
-    cayley = [list(r) for r in cayley]
     n = len(cayley)
     if n == 0:
         raise NotAGroup("empty table")
+    _check_order(n)
+    cayley = [list(r) for r in cayley]
     identity, inv = _validate_table(cayley)
     generators = list(dict.fromkeys(g for g in generators if g != identity))
     for g in generators:
@@ -203,8 +233,7 @@ def _build_group(cayley, generators, labels=None, ell=None, relabel=True):
                 raise NotEllGroup(
                     f"element {a} has order {orders[a]}, not a power of {ell}"
                 )
-    packed = (n, new_cayley, new_identity, new_gens, new_labels, new_inv, tuple(orders))
-    return packed, old_to_new
+    return n, new_cayley, new_identity, new_gens, new_labels, new_inv, tuple(orders)
 
 
 def from_cayley_table(table, generators, labels=None, ell=None) -> FinGroup:
@@ -514,12 +543,15 @@ def from_class2_presentation(d, ring: RingConfig, commutators, powers, central_o
     central_orders = [int(o) for o in central_orders]
     if len(central_orders) != s:
         raise InconsistentPresentation("central_orders length mismatch")
+    log_order = ring.n * d
     for o in central_orders:
-        ok, k = o, o
-        while k % ring.ell == 0:
+        k = o
+        while k > 1 and k % ring.ell == 0:
             k //= ring.ell
+            log_order += 1
         if k != 1 or o < 2:
             raise InconsistentPresentation(f"central order {o} is not an l-power >= 2")
+    _check_order(ring.ell, log_order)
 
     from itertools import product as iproduct
 
@@ -565,21 +597,20 @@ def from_class2_presentation(d, ring: RingConfig, commutators, powers, central_o
         a = tuple(1 if k == i else 0 for k in range(d))
         gens.append(index[(a, tuple([0] * s))])
     try:
-        grp, old_to_new = _build_group(table, gens, labels=labels, ell=ring.ell)
+        out = FinGroup(table, gens, labels=labels, ell=ring.ell)
     except (NotAGroup, NotEllGroup, GeneratorsDontGenerate) as exc:
         raise InconsistentPresentation(str(exc)) from exc
-    out = FinGroup.__new__(FinGroup)
-    (out.order, out.cayley, out.identity, out.generators, out.labels, out._inv, out._orders) = grp
 
-    # verify the prescribed relations in the materialized group
-    e = [old_to_new[g] for g in gens]
+    # verify the prescribed relations in the materialized group; the normal
+    # form words label its elements, and e_1..e_d stay its generators
+    e = out.generators
     for (i, j), w in comm_map.items():
         zc = tuple([0] * d), tuple(v % o for v, o in zip(w, central_orders))
-        if out.comm(e[i], e[j]) != old_to_new[index[zc]]:
+        if out.label(out.comm(e[i], e[j])) != word_label(zc):
             raise InconsistentPresentation(f"[e{i + 1},e{j + 1}] does not match its word")
     for i in range(d):
         zc = tuple([0] * d), tuple(v % o for v, o in zip(powers[i], central_orders))
-        if out.power(e[i], q) != old_to_new[index[zc]]:
+        if out.label(out.power(e[i], q)) != word_label(zc):
             raise InconsistentPresentation(f"e{i + 1}^{q} does not match its word")
     return out
 
@@ -606,16 +637,19 @@ def catalog(name: str, params=None) -> FinGroup:
     if name == "cyclic":
         ell = int(need("ell"))
         k = int(need("k", 1))
+        _check_order(ell, k)
         m = ell**k
         elems = list(range(m))
         return _table_group(elems, lambda x, y: (x + y) % m, [1] if m > 1 else [], str, ell=ell)
     if name == "elementary_abelian":
         ell = int(need("ell"))
         d = int(need("d"))
+        _check_order(ell, d)
         return catalog("abelian_product", {"ell": ell, "exponents": [1] * d})
     if name == "abelian_product":
         ell = int(need("ell"))
         exps = [int(e) for e in need("exponents")]
+        _check_order(ell, sum(exps))
         from itertools import product as iproduct
 
         mods = [ell**e for e in exps]
@@ -640,6 +674,7 @@ def catalog(name: str, params=None) -> FinGroup:
         )
     if name == "heisenberg":
         ell = int(need("ell"))
+        _check_order(ell, 3)
         ring = RingConfig(ell, 1)
         return from_class2_presentation(
             2, ring, {(0, 1): (1,)}, [(0,), (0,)], central_orders=[ell]
@@ -647,6 +682,7 @@ def catalog(name: str, params=None) -> FinGroup:
     if name == "unitriangular3":
         ell = int(need("ell"))
         n = int(need("n"))
+        _check_order(ell, 3 * n)
         m = ell**n
         from itertools import product as iproduct
 
@@ -673,6 +709,7 @@ def catalog(name: str, params=None) -> FinGroup:
         d = int(need("d"))
         ell = int(need("ell"))
         n = int(need("n"))
+        _check_order(ell, n * (2 * d + d * (d - 1) // 2))
         ring = RingConfig(ell, n)
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         s = len(pairs) + d

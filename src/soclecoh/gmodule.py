@@ -20,8 +20,10 @@ from .errors import DimensionMismatch, NotFreeModule, NotNilpotent
 from .fingroup import ExtensionData, FinGroup, abelian_structure
 from .zmodlin import (
     HowellBasis,
+    QuotientPresentation,
     RingConfig,
     contains,
+    enumerate_span,
     howell_form_rows,
     kernel,
     quotient_presentation,
@@ -136,10 +138,20 @@ def enumerate_module(orders):
 
 def enumerate_scaled_span(basis: HowellBasis, orders, ring: RingConfig):
     """Module-coordinate elements of a scaled submodule, deterministic order."""
-    from .zmodlin import enumerate_span
-
     for X in enumerate_span(basis):
         yield descale_vec(X, orders, ring)
+
+
+def random_scaled_span_element(basis: HowellBasis, orders, ring: RingConfig, rng):
+    """A uniformly random element of a scaled submodule, in module
+    coordinates: one rng.randrange per basis row, in row order."""
+    q = ring.modulus
+    v = [0] * basis.ambient_rank
+    for o, row in zip(basis.coordinate_orders(), basis.rows):
+        c = rng.randrange(o)
+        for j, x in enumerate(row):
+            v[j] = (v[j] + c * x) % q
+    return descale_vec(v, orders, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +308,6 @@ class HomModule:
     source: GModule
     target: GModule
     module: GModule
-
-    def flat_index(self, a, b):
-        return a * self.target.rank + b
 
     def matrix_to_coords(self, f):
         out = []
@@ -470,13 +479,6 @@ class GroupRing:
         return m
 
 
-@dataclass(frozen=True)
-class IdealPower:
-    ring: GroupRing
-    m: int
-    basis: HowellBasis
-
-
 def regular_module(gr: GroupRing) -> GModule:
     """Lambda as a module over itself: free of rank |G|, permutation actions."""
     q = gr.ring.modulus
@@ -494,50 +496,22 @@ def group_ring(group: FinGroup, ring: RingConfig, sigma=None, coords=None) -> Gr
     return GroupRing(group, ring, sigma=sigma, coords=coords)
 
 
-def ideal_power(gr: GroupRing, m: int) -> IdealPower:
-    return IdealPower(gr, m, gr.ideal_basis(m))
-
-
 # ---------------------------------------------------------------------------
 # The quotient presentations Lambda_m and I_m.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class QuotientModule:
+class QuotientModule(QuotientPresentation):
     """A quotient of an ambient free coordinate space, as a GModule.
 
-    project maps ambient row vectors to module coordinates; section picks
-    representatives.  For i_m the ambient is the rho-coordinate space of I
-    (basis g - 1 for g != 1); for lambda_m it is Lambda itself.
+    project_vec maps ambient row vectors to module coordinates; section_vec
+    picks representatives; orders are the module's.  For i_m the ambient is
+    the rho-coordinate space of I (basis g - 1 for g != 1); for lambda_m it
+    is Lambda itself.
     """
 
     module: GModule
-    ambient_rank: int
-    project: tuple  # ambient_rank x rank
-    section: tuple  # rank x ambient_rank
-
-    def project_vec(self, v):
-        orders = self.module.orders
-        out = [0] * len(orders)
-        for i, x in enumerate(v):
-            if x:
-                row = self.project[i]
-                for j in range(len(orders)):
-                    if row[j]:
-                        out[j] = (out[j] + x * row[j]) % orders[j]
-        return tuple(out)
-
-    def section_vec(self, y):
-        q = self.module.ring.modulus
-        out = [0] * self.ambient_rank
-        for i, x in enumerate(y):
-            if x % self.module.orders[i]:
-                row = self.section[i]
-                for j in range(self.ambient_rank):
-                    if row[j]:
-                        out[j] = (out[j] + x * row[j]) % q
-        return tuple(out)
 
 
 def _rho_of_lambda(v):
@@ -582,7 +556,7 @@ def i_m(gr: GroupRing, m: int) -> QuotientModule:
     module = make_module(ring, orders, actions) if orders else GModule(
         ring, (), tuple(() for _ in gr.sigma)
     )
-    return QuotientModule(module, amb, qp.project, qp.section)
+    return QuotientModule(amb, orders, qp.project, qp.section, ring, module)
 
 
 def lambda_m(gr: GroupRing, m: int) -> QuotientModule:
@@ -616,7 +590,7 @@ def lambda_m(gr: GroupRing, m: int) -> QuotientModule:
     for j in range(len(im.module.orders)):
         y = tuple(1 if i == j else 0 for i in range(len(im.module.orders)))
         section.append(_lambda_of_rho(im.section_vec(y), ring))
-    return QuotientModule(module, gr.size, tuple(project), tuple(section))
+    return QuotientModule(gr.size, orders, tuple(project), tuple(section), ring, module)
 
 
 def lambda_action_matrix(jmod: GModule, elem_mats, lam_vec):
@@ -709,12 +683,6 @@ class SocleChain:
     def member(self, vec, m: int) -> bool:
         return contains(self.basis(m), scale_vec(vec, self.module.orders, self.module.ring))
 
-    def level_of(self, vec):
-        for m in range(1, len(self.steps) + 1):
-            if self.member(vec, m):
-                return m
-        return None
-
 
 def socle_series(jmod: GModule, gr: GroupRing) -> SocleChain:
     """J_m = {x : I^m x = 0}, computed from the canonical I^m bases."""
@@ -763,9 +731,8 @@ def quotient_module(module: GModule, sub_scaled: HowellBasis) -> QuotientModule:
     newmod = make_module(ring, orders, actions) if orders else GModule(
         ring, (), tuple(() for _ in module.actions)
     )
-    project = tuple(tuple(row) for row in qp.project)
     section = tuple(vec_reduce(qp.section_vec(tuple(1 if i == j else 0 for i in range(len(orders)))), module.orders) for j in range(len(orders)))
-    return QuotientModule(newmod, t, project, section)
+    return QuotientModule(t, orders, qp.project, section, ring, newmod)
 
 
 # ---------------------------------------------------------------------------

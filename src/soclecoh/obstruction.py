@@ -48,6 +48,7 @@ from .fingroup import ExtensionData, Subgroup, build_extension, quotient
 from .gmodule import (
     ExtensionModules,
     GModule,
+    descale_vec,
     dual,
     dual_pair,
     dual_transpose,
@@ -57,6 +58,7 @@ from .gmodule import (
     mat_apply,
     mat_mul,
     module_J,
+    random_scaled_span_element,
     scale_vec,
     scaled_span,
     trivial_module,
@@ -247,6 +249,13 @@ class ObstructionContext:
         for c in enumerate_scaled_span(basis, hm.module.orders, self.ring):
             yield self.phi_from_matrix(m, hm.coords_to_matrix(c))
 
+    def random_phi(self, m: int, rng, count: int):
+        """count uniformly random phis from Hom_G(I_m, J), drawn from rng."""
+        hm, basis = self.hom_phi_basis(m)
+        for _ in range(count):
+            coords = random_scaled_span_element(basis, hm.module.orders, self.ring, rng)
+            yield self.phi_from_matrix(m, hm.coords_to_matrix(coords))
+
     def enumerate_jm(self, m: int):
         jmod = self.em.j.module
         return enumerate_scaled_span(self.em.socle.basis(m), jmod.orders, self.ring)
@@ -354,10 +363,7 @@ class ObstructionContext:
         jb = self.em.j
         jmod = jb.module
         image = scaled_span(list(phi.matrix), jmod.orders, self.ring)
-        im_rows = [vec_reduce(
-            tuple(v // (self.ring.modulus // o) for v, o in zip(r, jmod.orders)),
-            jmod.orders,
-        ) for r in image.rows]
+        im_rows = [descale_vec(r, jmod.orders, self.ring) for r in image.rows]
         h_elems = []
         for h in ext.kernel.elements:
             coords = jb.h_coords[h]
@@ -409,10 +415,7 @@ class ObstructionContext:
         act_rows = []
         for i in range(ext.d):
             rows = []
-            for r in image.rows:
-                jvec = vec_reduce(
-                    tuple(v // (q // o) for v, o in zip(r, jmod.orders)), jmod.orders
-                )
+            for jvec in im_rows:
                 moved = jmod.act(jvec, i)
                 cs = coords_in_basis(image, scale_vec(moved, jmod.orders, self.ring))
                 if cs is None:
@@ -516,11 +519,9 @@ class ObstructionContext:
         rows = []
         for kr in km.rows:
             row = []
+            # kr is a scaled J vector: descale, act, rescale exactly
+            x = descale_vec(kr, jmod.orders, self.ring)
             for scaled in blocks:
-                # kr is a scaled J vector: descale, act, rescale exactly
-                x = vec_reduce(
-                    tuple(v // (q // o) for v, o in zip(kr, jmod.orders)), jmod.orders
-                )
                 row.extend(sum(x[k] * scaled[k][j] for k in range(t)) % q for j in range(t))
             rows.append(row)
         solver = LinearSolver(rows, im.module.rank * t, self.ring)
@@ -533,9 +534,7 @@ class ObstructionContext:
                 for j in range(t):
                     x0[j] = (x0[j] + ci * kr[j]) % q
         xmin = lex_min_in_coset(tuple(x0), em.socle.basis(1))
-        return vec_reduce(
-            tuple(v // (q // o) for v, o in zip(xmin, jmod.orders)), jmod.orders
-        )
+        return descale_vec(xmin, jmod.orders, self.ring)
 
     def verify_theorem(
         self,
@@ -566,23 +565,10 @@ class ObstructionContext:
             _, seed, count = mode
             rng = random.Random(seed)
             basis = em.socle.basis(m)
-            orders = basis.coordinate_orders()
-            gammas = []
-            for _ in range(count):
-                cs = [rng.randrange(o) for o in orders]
-                v = [0] * jmod.rank
-                for ci, row in zip(cs, basis.rows):
-                    for j, x in enumerate(row):
-                        v[j] = (v[j] + ci * x) % self.ring.modulus
-                gammas.append(
-                    vec_reduce(
-                        tuple(
-                            x // (self.ring.modulus // o)
-                            for x, o in zip(v, jmod.orders)
-                        ),
-                        jmod.orders,
-                    )
-                )
+            gammas = [
+                random_scaled_span_element(basis, jmod.orders, self.ring, rng)
+                for _ in range(count)
+            ]
 
         image_matrices = set()
         d1_checked = d1_passed = 0
@@ -602,24 +588,7 @@ class ObstructionContext:
             phis = list(self.enumerate_phi(m, bound=hom_bound))
         else:
             _, seed, count = mode
-            rng = random.Random(seed + 1)
-            hm, basis = self.hom_phi_basis(m)
-            orders = basis.coordinate_orders()
-            phis = []
-            for _ in range(count):
-                cs = [rng.randrange(o) for o in orders]
-                v = [0] * hm.module.rank
-                for ci, row in zip(cs, basis.rows):
-                    for j, x in enumerate(row):
-                        v[j] = (v[j] + ci * x) % self.ring.modulus
-                coords = vec_reduce(
-                    tuple(
-                        x // (self.ring.modulus // o)
-                        for x, o in zip(v, hm.module.orders)
-                    ),
-                    hm.module.orders,
-                )
-                phis.append(self.phi_from_matrix(m, hm.coords_to_matrix(coords)))
+            phis = list(self.random_phi(m, random.Random(seed + 1), count))
 
         d2_checked = zero_class_count = 0
         d2_mismatches = 0
@@ -666,42 +635,3 @@ class ObstructionContext:
             "mode": "exhaustive" if exhaustive else f"sampled(seed={mode[1]},count={mode[2]})",
         }
         return report
-
-
-# -- module-level functions mirroring the operation surface ---------------------
-
-
-def make_context(ext: ExtensionData, label: str = "", h2_max_order: int = 32) -> ObstructionContext:
-    return ObstructionContext(ext, label=label, h2_max_order=h2_max_order)
-
-
-def phi_from_gamma(ctx: ObstructionContext, gamma, m: int) -> PhiMap:
-    return ctx.phi_from_gamma(gamma, m)
-
-
-def psi_generic(ctx: ObstructionContext, phi: PhiMap) -> ObstructionResult:
-    return ctx.psi_generic(phi)
-
-
-def psi_closed_form(ctx: ObstructionContext, phi: PhiMap) -> Cochain:
-    return ctx.psi_closed_form(phi)
-
-
-def psi_m2_formula(ctx: ObstructionContext, phi: PhiMap) -> Cochain:
-    return ctx.psi_m2_formula(phi)
-
-
-def build_g_phi(ctx: ObstructionContext, phi: PhiMap) -> GPhiData:
-    return ctx.build_g_phi(phi)
-
-
-def d2_via_g_phi(ctx: ObstructionContext, phi: PhiMap):
-    return ctx.d2_via_g_phi(phi)
-
-
-def image_membership(ctx: ObstructionContext, phi: PhiMap):
-    return ctx.image_membership(phi)
-
-
-def verify_theorem(ctx: ObstructionContext, m: int, mode=("exhaustive",), **kw):
-    return ctx.verify_theorem(m, mode=mode, **kw)

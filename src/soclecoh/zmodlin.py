@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 
 from .errors import DimensionMismatch
@@ -150,9 +149,26 @@ class HowellBasis:
 
 
 # ---------------------------------------------------------------------------
-# Row engines.  Each returns a list of (pivot_col, pivot_val, row) with rows
-# fully reduced above pivots; rows are dicts or packed ints per engine.
+# Row engines.  Each returns a list of (pivot_col, pivot_value, row): the
+# pivot value is the entry l^e at the pivot column, rows are fully reduced
+# above pivots and are dicts or packed ints per engine.  That list is the
+# shape the pivot reducers take.
 # ---------------------------------------------------------------------------
+
+
+def _as_dict(r, q: int) -> dict:
+    """A dict or dense row as a dict of its nonzero residues mod q."""
+    items = r.items() if isinstance(r, dict) else enumerate(r)
+    return {c: v % q for c, v in items if v % q}
+
+
+def _pack(r) -> int:
+    """A dict or dense row over F_2 as an int, bit j = column j."""
+    x = 0
+    for c, v in r.items() if isinstance(r, dict) else enumerate(r):
+        if v % 2:
+            x |= 1 << c
+    return x
 
 
 def _sub_scaled(r: dict, f: int, p: dict, q: int) -> None:
@@ -169,7 +185,7 @@ def _howell_dicts(rows, ring: RingConfig):
     heap = []
     cnt = 0
     for r in rows:
-        rr = {c: v % q for c, v in r.items() if v % q}
+        rr = _as_dict(r, q)
         if rr:
             heapq.heappush(heap, (min(rr), cnt, rr))
             cnt += 1
@@ -192,15 +208,14 @@ def _howell_dicts(rows, ring: RingConfig):
         uinv = ring.unit_inv(r[lead])
         if uinv != 1:
             r = {c: (v * uinv) % q for c, v in r.items()}
-        pivots.append((lead, vp, r))
+        pivots.append((lead, ell**vp, r))
         if vp:
             sh = ell ** (n - vp)
             shadow = {c: w for c, v in r.items() if (w := (v * sh) % q)}
             if shadow:
                 heapq.heappush(heap, (min(shadow), cnt, shadow))
                 cnt += 1
-    for i, (col, e, prow) in enumerate(pivots):
-        pe = ell**e
+    for i, (col, pe, prow) in enumerate(pivots):
         for j in range(i):
             r0 = pivots[j][2]
             f = r0.get(col, 0) // pe
@@ -231,7 +246,44 @@ def _howell_bits(rows):
             r ^= table[c + low.bit_length()]
             hits ^= low
         table[c] = r
-    return [(c, 0, table[c]) for c in cols]
+    return [(c, 1, table[c]) for c in cols]
+
+
+def _reduce(r: dict, pivots, q: int) -> dict:
+    """Reduce r in place against Howell pivots (column, pivot value, row).
+
+    Pivot columns increase and a row is zero left of its pivot, so each step
+    leaves its column in [0, pivot value) for good: r ends as the canonical,
+    lexicographically least member of r + span(rows), and r lies in the span
+    exactly when it ends empty.  Returns the nonzero multipliers of the pivot
+    rows, by pivot column.
+    """
+    fs = {}
+    get = r.get
+    for c, pe, row in pivots:
+        a = get(c, 0)
+        if a >= pe:
+            fs[c] = f = a // pe
+            _sub_scaled(r, f, row, q)
+    return fs
+
+
+def _reduce_bits(x: int, pivots) -> int:
+    """_reduce over F_2 with packed rows; returns the reduced x."""
+    for c, _, row in pivots:
+        if (x >> c) & 1:
+            x ^= row
+    return x
+
+
+def _basis_pivots(sub: HowellBasis):
+    """The rows of a Howell basis as pivots for _reduce."""
+    out = []
+    for row in sub.rows:
+        d = {j: w for j, w in enumerate(row) if w}
+        c = min(d)
+        out.append((c, d[c], d))
+    return out
 
 
 class LinearSolver:
@@ -239,181 +291,81 @@ class LinearSolver:
 
     Built from the Howell form of [A | I]; exposes the canonical image basis,
     the canonical kernel basis (in coefficient space), membership tests, and
-    lexicographically-least solutions.  Accepts dense row lists, sparse row
-    dicts, or (modulus 2) packed ints.
+    lexicographically-least solutions.  Accepts dense row lists or sparse
+    row dicts.  The Howell rows are kept whole: a row [a | t] with pivot in
+    A satisfies t . A = a, and a row [0 | t] spans the kernel.
     """
 
-    def __init__(self, rows, ncols: int, ring: RingConfig, packed: bool = False):
+    def __init__(self, rows, ncols: int, ring: RingConfig):
         self.ring = ring
         self.ncols = ncols
         rows = list(rows)
         self.nrows = len(rows)
         self.bits = ring.modulus == 2
-        if packed and not self.bits:
-            raise ValueError("packed rows require modulus 2")
         if self.bits:
-            if packed:
-                packed_rows = [r | (1 << (ncols + i)) for i, r in enumerate(rows)]
-            else:
-                packed_rows = []
-                for i, r in enumerate(rows):
-                    if isinstance(r, dict):
-                        x = reduce(lambda a, cv: a | ((cv[1] % 2) << cv[0]), r.items(), 0)
-                    else:
-                        x = reduce(lambda a, cv: a | ((cv[1] % 2) << cv[0]), enumerate(r), 0)
-                    packed_rows.append(x | (1 << (ncols + i)))
-            pivots = _howell_bits(packed_rows)
-            amask = (1 << ncols) - 1
-            self._image = [
-                (c, e, row & amask, row >> ncols) for c, e, row in pivots if c < ncols
-            ]
-            self._kernel = [
-                (c - ncols, e, row >> ncols) for c, e, row in pivots if c >= ncols
-            ]
+            pivots = _howell_bits(_pack(r) | (1 << (ncols + i)) for i, r in enumerate(rows))
         else:
             dict_rows = []
             for i, r in enumerate(rows):
-                d = dict(r) if isinstance(r, dict) else {j: v for j, v in enumerate(r) if v}
-                d = {c: v % ring.modulus for c, v in d.items() if v % ring.modulus}
+                d = _as_dict(r, ring.modulus)
                 d[ncols + i] = 1
                 dict_rows.append(d)
-            pivots = _howell_dicts(dict_rows, ring)
-            self._image = [
-                (
-                    c,
-                    e,
-                    {k: v for k, v in row.items() if k < ncols},
-                    {k - ncols: v for k, v in row.items() if k >= ncols},
-                )
-                for c, e, row in pivots
-                if c < ncols
-            ]
-            self._kernel = [
-                (c - ncols, e, {k - ncols: v for k, v in row.items()})
-                for c, e, row in pivots
-                if c >= ncols
-            ]
+            # fresh copies: a row dict keeps the table it grew to while eliminating
+            pivots = [(c, pe, dict(row)) for c, pe, row in _howell_dicts(dict_rows, ring)]
+        self._image = [p for p in pivots if p[0] < ncols]
+        self._kernel = [p for p in pivots if p[0] >= ncols]
 
     # -- representation helpers ------------------------------------------
 
+    def _tuples(self, pivots, start: int, width: int):
+        """Columns start..start+width of the given Howell rows, as tuples."""
+        cols = range(start, start + width)
+        if self.bits:
+            return tuple(tuple((row >> j) & 1 for j in cols) for _, _, row in pivots)
+        return tuple(tuple(row.get(j, 0) for j in cols) for _, _, row in pivots)
+
     def image_row_tuples(self):
-        out = []
-        for _, _, row, _ in self._image:
-            if self.bits:
-                out.append(tuple((row >> j) & 1 for j in range(self.ncols)))
-            else:
-                out.append(tuple(row.get(j, 0) for j in range(self.ncols)))
-        return tuple(out)
+        return self._tuples(self._image, 0, self.ncols)
 
     def kernel_row_tuples(self):
-        out = []
-        for _, _, row in self._kernel:
-            if self.bits:
-                out.append(tuple((row >> j) & 1 for j in range(self.nrows)))
-            else:
-                out.append(tuple(row.get(j, 0) for j in range(self.nrows)))
-        return tuple(out)
+        return self._tuples(self._kernel, self.ncols, self.nrows)
 
     # -- solving ----------------------------------------------------------
 
-    def _reduce_against_image(self, b):
-        """Reduce b against image pivots; returns (ok, coeffs) where coeffs
-        pairs each pivot with its coefficient, or (False, None)."""
-        q, ell = self.ring.modulus, self.ring.ell
-        if self.bits:
-            r = 0
-            for j, v in (b.items() if isinstance(b, dict) else enumerate(b)):
-                if v % 2:
-                    r |= 1 << j
-            coeffs = []
-            for c, e, arow, trow in self._image:
-                if (r >> c) & 1:
-                    r ^= arow
-                    coeffs.append((c, trow, 1))
-            return (False, None) if r else (True, coeffs)
-        r = dict(b) if isinstance(b, dict) else {j: v for j, v in enumerate(b) if v}
-        r = {c: v % q for c, v in r.items() if v % q}
-        coeffs = []
-        for c, e, arow, trow in self._image:
-            a = r.get(c, 0)
-            if not a:
-                continue
-            pe = ell**e
-            if a % pe:
-                return (False, None)
-            f = a // pe
-            _sub_scaled(r, f, arow, q)
-            coeffs.append((c, trow, f))
-        if r:
-            return (False, None)
-        return (True, coeffs)
-
     def contains(self, b) -> bool:
-        ok, _ = self._reduce_against_image(b)
-        return ok
-
-    def coords(self, b):
-        """Coefficients of b over the canonical image rows, or None."""
-        ok, coeffs = self._reduce_against_image(b)
-        if not ok:
-            return None
-        by_col = {c: f for c, _, f in coeffs}
-        return tuple(by_col.get(c, 0) for c, _, _, _ in self._image)
+        return self.solve(b) is not None
 
     def solve(self, b):
-        """Lexicographically least x with x . A = b, or None."""
-        ok, coeffs = self._reduce_against_image(b)
-        if not ok:
-            return None
-        q = self.ring.modulus
+        """Lexicographically least x with x . A = b, or None.
+
+        Reducing [-b | 0] by the rows [a | t] leaves [0 | x] exactly when b
+        lies in the image, and then x . A = b; reducing x by the kernel rows
+        makes it the least solution.
+        """
+        n = self.ncols
         if self.bits:
-            x = 0
-            for _, trow, _ in coeffs:
-                x ^= trow
-            x = _lex_min_bits(x, [row for _, _, row in self._kernel])
-            return tuple((x >> i) & 1 for i in range(self.nrows))
-        x = {}
-        for _, trow, f in coeffs:
-            _sub_scaled(x, (-f) % q, trow, q)
-        xv = [x.get(i, 0) for i in range(self.nrows)]
-        xv = _lex_min_dense(xv, self._kernel, self.ring)
-        return tuple(xv)
-
-
-def _lex_min_bits(x: int, kernel_rows) -> int:
-    for row in kernel_rows:
-        c = (row & -row).bit_length() - 1
-        if (x >> c) & 1:
-            x ^= row
-    return x
-
-
-def _lex_min_dense(xv, kernel_pivots, ring: RingConfig):
-    q, ell = ring.modulus, ring.ell
-    for c, e, row in kernel_pivots:
-        pe = ell**e
-        f = xv[c] // pe
-        if f:
-            for k, v in row.items():
-                xv[k] = (xv[k] - f * v) % q
-    return xv
+            # the rows are in RREF, so x is already clear at the kernel pivots
+            x = _reduce_bits(_pack(b), self._image)
+            if x & ((1 << n) - 1):
+                return None
+            return tuple((x >> (n + i)) & 1 for i in range(self.nrows))
+        q = self.ring.modulus
+        r = {c: q - v for c, v in _as_dict(b, q).items()}
+        _reduce(r, self._image, q)
+        if r and min(r) < n:
+            return None
+        _reduce(r, self._kernel, q)
+        return tuple([r.get(i, 0) for i in range(n, n + self.nrows)])
 
 
 def lex_min_in_coset(vec, basis: HowellBasis):
     """Lexicographically least element of vec + span(basis)."""
-    ring = basis.ring
-    q, ell = ring.modulus, ring.ell
-    xv = [v % q for v in vec]
-    if len(xv) != basis.ambient_rank:
+    if len(vec) != basis.ambient_rank:
         raise DimensionMismatch("vector/ambient rank mismatch")
-    for (c, e), row in zip(basis.pivots(), basis.rows):
-        pe = ell**e
-        f = xv[c] // pe
-        if f:
-            for k, v in enumerate(row):
-                if v:
-                    xv[k] = (xv[k] - f * v) % q
-    return tuple(xv)
+    q = basis.ring.modulus
+    r = _as_dict(vec, q)
+    _reduce(r, _basis_pivots(basis), q)
+    return tuple(r.get(j, 0) for j in range(basis.ambient_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +379,10 @@ def howell_form_rows(rows, ambient_rank: int, ring: RingConfig) -> HowellBasis:
         if not isinstance(r, dict) and len(r) != ambient_rank:
             raise DimensionMismatch(f"row length {len(r)} != ambient rank {ambient_rank}")
     if ring.modulus == 2:
-        packed = []
-        for r in rows:
-            items = r.items() if isinstance(r, dict) else enumerate(r)
-            packed.append(reduce(lambda a, cv: a | ((cv[1] % 2) << cv[0]), items, 0))
-        pivots = _howell_bits(packed)
+        pivots = _howell_bits(_pack(r) for r in rows)
         out = [tuple((row >> j) & 1 for j in range(ambient_rank)) for _, _, row in pivots]
     else:
-        dicts = [
-            r if isinstance(r, dict) else {j: v for j, v in enumerate(r) if v % ring.modulus}
-            for r in rows
-        ]
-        pivots = _howell_dicts(dicts, ring)
+        pivots = _howell_dicts(rows, ring)
         out = [tuple(row.get(j, 0) for j in range(ambient_rank)) for _, _, row in pivots]
     return HowellBasis(ambient_rank, tuple(out), ring)
 
@@ -467,44 +411,17 @@ def contains(sub: HowellBasis, v) -> bool:
     v = list(v)
     if len(v) != sub.ambient_rank:
         raise DimensionMismatch(f"vector length {len(v)} != ambient rank {sub.ambient_rank}")
-    ring = sub.ring
-    q, ell = ring.modulus, ring.ell
-    r = [x % q for x in v]
-    for (c, e), row in zip(sub.pivots(), sub.rows):
-        a = r[c]
-        if not a:
-            continue
-        pe = ell**e
-        if a % pe:
-            return False
-        f = a // pe
-        for k, w in enumerate(row):
-            if w:
-                r[k] = (r[k] - f * w) % q
-    return not any(r)
+    r = _as_dict(v, sub.ring.modulus)
+    _reduce(r, _basis_pivots(sub), sub.ring.modulus)
+    return not r
 
 
 def coords_in_basis(sub: HowellBasis, v):
     """Unique coefficients (c_i in [0, l^(n-e_i))) with v = sum c_i row_i, or None."""
-    v = list(v)
-    ring = sub.ring
-    q, ell = ring.modulus, ring.ell
-    r = [x % q for x in v]
-    out = []
-    for (c, e), row in zip(sub.pivots(), sub.rows):
-        a = r[c]
-        pe = ell**e
-        if a % pe:
-            return None
-        f = a // pe
-        out.append(f)
-        if f:
-            for k, w in enumerate(row):
-                if w:
-                    r[k] = (r[k] - f * w) % q
-    if any(r):
-        return None
-    return tuple(out)
+    r = _as_dict(v, sub.ring.modulus)
+    pivots = _basis_pivots(sub)
+    fs = _reduce(r, pivots, sub.ring.modulus)
+    return None if r else tuple(fs.get(c, 0) for c, _, _ in pivots)
 
 
 def enumerate_span(sub: HowellBasis):

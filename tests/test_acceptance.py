@@ -25,7 +25,7 @@ from soclecoh.gmodule import (
     scaled_span,
     vec_reduce,
 )
-from soclecoh.obstruction import make_context
+from soclecoh.obstruction import ObstructionContext
 from soclecoh.zmodlin import (
     RingConfig,
     contains,
@@ -53,7 +53,7 @@ _ctx_cache = {}
 def ctx_for(name, ring, params=None):
     key = name
     if key not in _ctx_cache:
-        _ctx_cache[key] = make_context(
+        _ctx_cache[key] = ObstructionContext(
             make_extension(catalog(name, params), ring), label=name
         )
     return _ctx_cache[key]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import soclecoh
 from helpers import mixer32
@@ -154,10 +155,10 @@ def test_exit_5_on_nonequivariant_phi(capsys, tmp_path):
 
     from soclecoh.errors import EquivarianceFailure
     from soclecoh.fingroup import make_extension
-    from soclecoh.obstruction import make_context
+    from soclecoh.obstruction import ObstructionContext
     from soclecoh.zmodlin import RingConfig
 
-    ctx = make_context(make_extension(mixer32(), RingConfig(2, 1)), label="mixer")
+    ctx = ObstructionContext(make_extension(mixer32(), RingConfig(2, 1)), label="mixer")
     bad = None
     for rows in iproduct(iproduct(range(2), repeat=3), repeat=2):
         try:
@@ -190,6 +191,23 @@ def test_exit_5_on_misshapen_phi(tmp_path):
     )
     assert proc.returncode == 5
     assert "phi matrix must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_4_on_group_order_bound():
+    # the order is checked from the parameters, before any table is built
+    src = os.path.dirname(os.path.dirname(soclecoh.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "soclecoh.cli", "socle", "--catalog", "cyclic",
+         "--params", "k=10", "--ell", "2", "--n", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 4
+    assert "group order: limit 512, got 2^10" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

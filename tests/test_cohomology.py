@@ -28,6 +28,7 @@ from soclecoh.cohomology import (
 from soclecoh.errors import EquivarianceFailure, NotACocycle, PairingMismatch, SizeBound
 from soclecoh.fingroup import Subgroup, catalog, make_extension
 from soclecoh.gmodule import ExtensionModules, dual, trivial_module
+from soclecoh.obstruction import ObstructionContext
 from soclecoh.zmodlin import RingConfig, howell_form_rows
 
 R2 = RingConfig(2, 1)
@@ -104,6 +105,49 @@ def test_dd_zero_random_catalog():
         for i in range(25):
             f = random_cochain(act, (i % deg_cap) + 1, rng, support=2)
             assert differential(differential(f)).is_zero()
+
+
+def brute_differential(f):
+    """(df)(g_1..g_{k+1}) on every (k+1)-tuple, straight from the bar formula."""
+    act = f.action
+    grp = act.group
+    orders = act.module.orders
+    k = f.degree
+    out = {}
+    for tup in product(grp.elements(), repeat=k + 1):
+        terms = [act.act(tup[0], f.value(tup[1:]))]
+        for i in range(k):
+            merged = tup[:i] + (grp.mul(tup[i], tup[i + 1]),) + tup[i + 2 :]
+            terms.append(tuple((-1) ** (i + 1) * x for x in f.value(merged)))
+        terms.append(tuple((-1) ** (k + 1) * x for x in f.value(tup[:k])))
+        out[tup] = tuple(sum(col) % o for col, o in zip(zip(*terms), orders))
+    return out
+
+
+def test_differential_matches_bar_formula():
+    rng = random.Random(5)
+    q8 = ObstructionContext(make_extension(catalog("quaternion8"), R2), label="quaternion8")
+    u3 = ObstructionContext(
+        make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4), label="u3"
+    )
+    mixer = make_extension(mixer32(), R2)
+    cases = [
+        (CoeffAction.trivial(catalog("dihedral8"), R2), 3),
+        (CoeffAction.trivial(catalog("cyclic", {"ell": 2, "k": 2}), R4, orders=(4, 2)), 3),
+        (CoeffAction.trivial(catalog("quaternion8"), R4, orders=(2, 4)), 2),
+        # nontrivial actions, where the first face mixes coordinates
+        (q8.dual_sequence(2).mid, 3),
+        (action_for_quotient_module(mixer, ExtensionModules(mixer).j.module), 3),
+        (u3.dual_sequence(2).mid, 2),
+    ]
+    for act, top in cases:
+        for degree in range(top + 1):
+            for support in (1, 4):
+                f = random_cochain(act, degree, rng, support=support)
+                want = brute_differential(f)
+                got = differential(f)
+                assert all(got.value(t) == v for t, v in want.items())
+                assert all(t in want for t in got.values)
 
 
 def test_nonzero_class_on_z2():
@@ -618,11 +662,10 @@ def test_connecting_level2_equals_dual_basis_cup_sum():
     # delta(xi) is cohomologous to sum_i -x_i cup xi_i, where xi_i evaluates
     # the I_2^vee values of xi at the class of sigma_i - 1
     from soclecoh.gmodule import dual_pair, group_ring, i_m
-    from soclecoh.obstruction import make_context
 
     for name in ("quaternion8", "wreath_z4_z2"):
         ext = make_extension(catalog(name), R2)
-        ctx = make_context(ext, label=name)
+        ctx = ObstructionContext(ext, label=name)
         em = ctx.em
         ses = ctx.dual_sequence(2)
         imod = em.i_m(2)

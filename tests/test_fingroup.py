@@ -8,6 +8,7 @@ from soclecoh.errors import (
     NotAGroup,
     NotEllGroup,
     QuotientNotFree,
+    SizeBound,
     UnknownCatalogEntry,
 )
 from soclecoh.fingroup import (
@@ -99,6 +100,32 @@ def test_class2_heisenberg27():
 def test_class2_rejects_bad_indices():
     with pytest.raises(InconsistentPresentation):
         from_class2_presentation(2, R2, {(1, 0): (1,)}, [(0,), (0,)])
+
+
+def test_class2_rejects_nonpositive_central_order():
+    # a central order of 0 used to spin forever in the l-power check
+    for bad in (0, -2):
+        with pytest.raises(InconsistentPresentation):
+            from_class2_presentation(2, R2, {(0, 1): (1,)}, [(1,), (1,)], central_orders=[bad])
+
+
+def test_group_order_bound():
+    too_big = [
+        ("cyclic", {"ell": 2, "k": 10}),
+        ("cyclic", {"ell": 3, "k": 10**9}),
+        ("elementary_abelian", {"ell": 2, "d": 10}),
+        ("abelian_product", {"ell": 3, "exponents": [3, 3]}),
+        ("heisenberg", {"ell": 11}),
+        ("unitriangular3", {"ell": 2, "n": 4}),
+        ("free_class2", {"d": 4, "ell": 2, "n": 1}),
+    ]
+    for name, params in too_big:
+        with pytest.raises(SizeBound):
+            catalog(name, params)
+    with pytest.raises(SizeBound, match="limit 512, got 2\\^10"):
+        from_class2_presentation(5, R2, {}, [(1, 0, 0, 0, 0)] * 5)
+    with pytest.raises(SizeBound, match="limit 512, got 513"):
+        from_cayley_table([[(a + b) % 513 for b in range(513)] for a in range(513)], [1])
 
 
 def test_descending_step_q8():

@@ -11,7 +11,7 @@ from soclecoh.cohomology import CochainComplex, cup, is_cocycle, multiplication_
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, WrongLevel
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import vec_reduce
-from soclecoh.obstruction import ObstructionContext, make_context
+from soclecoh.obstruction import ObstructionContext
 from soclecoh.zmodlin import RingConfig, zero_basis
 
 R2 = RingConfig(2, 1)
@@ -28,7 +28,7 @@ def ctx_for(name, ring=R2, params=None):
             ext = make_extension(mixer32(), ring)
         else:
             ext = make_extension(catalog(name, params), ring)
-        _ctx_cache[key] = make_context(ext, label=name)
+        _ctx_cache[key] = ObstructionContext(ext, label=name)
     return _ctx_cache[key]
 
 
@@ -429,7 +429,7 @@ def test_verify_q8_exhaustive():
 
 def test_verify_abelian_degenerate():
     ext = make_extension(catalog("abelian_product", {"ell": 2, "exponents": [2, 2]}), R4)
-    ctx = make_context(ext, label="abelian")
+    ctx = ObstructionContext(ext, label="abelian")
     rep = ctx.verify_theorem(2)
     assert rep["hypothesis"]["holds"]
     assert rep["direction1"]["passed"]

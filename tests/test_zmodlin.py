@@ -134,7 +134,7 @@ def test_solve_examples():
 
 def test_solve_brute_force_oracle():
     rng = random.Random(23)
-    for ring in (Z4, Z9):
+    for ring in (Z4, Z9, Z2):
         q = ring.modulus
         for _ in range(80):
             nr, nc = rng.randint(1, 3), rng.randint(1, 3)
@@ -235,6 +235,21 @@ def test_coords_in_basis_roundtrip():
                 assert tuple(re) == v
 
 
+def test_coords_in_basis_non_member():
+    assert coords_in_basis(howell_form(mat([(2, 0)], Z4)), (1, 0)) is None
+    assert coords_in_basis(howell_form(mat([(2, 0)], Z4)), (2, 1)) is None
+    rng = random.Random(8)
+    for ring in (Z4, Z9, Z2):
+        q = ring.modulus
+        for _ in range(40):
+            amb = rng.randint(1, 3)
+            rows = [tuple(rng.randrange(q) for _ in range(amb)) for _ in range(rng.randint(0, 2))]
+            h = howell_form_rows(rows, amb, ring)
+            span = set(enumerate_span(h))
+            v = tuple(rng.randrange(q) for _ in range(amb))
+            assert (coords_in_basis(h, v) is None) == (v not in span)
+
+
 # -- quotient_presentation ----------------------------------------------------
 
 
@@ -321,6 +336,22 @@ def test_lex_min_in_coset():
     basis = howell_form(mat([(2, 0)], Z4))
     assert lex_min_in_coset((3, 1), basis) == (1, 1)
     assert lex_min_in_coset((0, 0), basis) == (0, 0)
+    # oracle: the least element of v + span(B), enumerated
+    rng = random.Random(23)
+    for ring in (Z4, Z2):
+        q = ring.modulus
+        for _ in range(60):
+            amb = rng.randint(1, 4)
+            rows = [
+                tuple(rng.randrange(q) for _ in range(amb))
+                for _ in range(rng.randint(0, 3))
+            ]
+            basis = howell_form_rows(rows, amb, ring)
+            v = tuple(rng.randrange(q) for _ in range(amb))
+            want = min(
+                tuple((a + b) % q for a, b in zip(v, s)) for s in enumerate_span(basis)
+            )
+            assert lex_min_in_coset(v, basis) == want
 
 
 def test_linear_solver_kernel_matches_kernel():
