@@ -3,9 +3,10 @@
 Elements are integer indices into a canonical ordering: identity first, then
 breadth-first from the ordered generator list under right multiplication.
 Every constructor validates the full group axioms and, when a prime is
-supplied, that all element orders are powers of it.  Orders above
-MAX_GROUP_ORDER are refused with SizeBound before any element list or table
-is built, which also keeps the cubic associativity check bounded.
+supplied, that all element orders are powers of it.  Associativity is
+checked by Light's test, with the last factor ranging over the generators,
+in O(n^2·|S|) steps.  Orders above MAX_GROUP_ORDER are refused with SizeBound
+before any element list or table is built.
 
 Commutator convention: [x, y] = x^-1 y^-1 x y.
 """
@@ -127,6 +128,7 @@ class FinGroup:
 
 
 def _validate_table(cayley):
+    """Identity and two-sided inverses of a square table with in-range entries."""
     n = len(cayley)
     for row in cayley:
         if len(row) != n:
@@ -149,15 +151,22 @@ def _validate_table(cayley):
                 break
         if inv[a] is None:
             raise NotAGroup("element has no inverse", witness=a)
-    for a in range(n):
-        ca = cayley[a]
-        for b in range(n):
-            cab = cayley[ca[b]]
-            cb = cayley[b]
-            for c in range(n):
-                if cab[c] != ca[cb[c]]:
-                    raise NotAGroup("associativity fails", witness=(a, b, c))
     return identity, inv
+
+
+def _check_associative(cayley, generators):
+    """Light's test: (ab)s = a(bs) for all a, b and every generator s.
+
+    The z with (xy)z = x(yz) for all x, y contain the identity and are closed
+    under products, so once the generators reach every element by right
+    multiplication, z = s in the generators is enough.  O(n^2·|S|).
+    """
+    for s in generators:
+        right = [row[s] for row in cayley]
+        for a, ca in enumerate(cayley):
+            if [right[v] for v in ca] != [ca[w] for w in right]:
+                b = next(b for b, v in enumerate(ca) if right[v] != ca[right[b]])
+                raise NotAGroup("associativity fails", witness=(a, b, s))
 
 
 def _build_group(cayley, generators, labels=None, ell=None, relabel=True):
@@ -172,57 +181,35 @@ def _build_group(cayley, generators, labels=None, ell=None, relabel=True):
         if not 0 <= g < n:
             raise NotAGroup(f"generator index {g} out of range")
 
-    # canonical ordering: identity first, then BFS by right multiplication
-    if relabel:
-        order_list = [identity]
-        seen = {identity}
-        i = 0
-        while i < len(order_list):
-            x = order_list[i]
-            i += 1
-            for g in generators:
-                y = cayley[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    order_list.append(y)
-        if len(order_list) != n:
-            raise GeneratorsDontGenerate(
-                f"generators reach {len(order_list)} of {n} elements"
-            )
-        old_to_new = {old: new for new, old in enumerate(order_list)}
-        new_cayley = tuple(
-            tuple(old_to_new[cayley[order_list[a]][order_list[b]]] for b in range(n))
-            for a in range(n)
-        )
-        new_gens = tuple(old_to_new[g] for g in generators)
-        new_labels = tuple(labels[o] for o in order_list) if labels else None
-        new_identity = 0
-    else:
-        reach = set()
-        frontier = [identity]
-        reach.add(identity)
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                for y in (cayley[x][g], cayley[g][x]):
-                    if y not in reach:
-                        reach.add(y)
-                        frontier.append(y)
-        if len(reach) != n:
-            raise GeneratorsDontGenerate(f"generators reach {len(reach)} of {n} elements")
-        old_to_new = {x: x for x in range(n)}
-        new_cayley = tuple(tuple(r) for r in cayley)
-        new_gens = tuple(generators)
-        new_labels = tuple(labels) if labels else None
-        new_identity = identity
+    # identity first, then BFS by right multiplication: the canonical ordering
+    order_list = [identity]
+    seen = {identity}
+    for x in order_list:
+        for g in generators:
+            y = cayley[x][g]
+            if y not in seen:
+                seen.add(y)
+                order_list.append(y)
+    if len(order_list) != n:
+        raise GeneratorsDontGenerate(f"generators reach {len(order_list)} of {n} elements")
+    _check_associative(cayley, generators)
 
-    new_inv = tuple(old_to_new[inv[o]] for o in sorted(old_to_new, key=old_to_new.get))
+    if relabel:
+        new_index = [0] * n
+        for new, old in enumerate(order_list):
+            new_index[old] = new
+        rows = [cayley[a] for a in order_list]
+        cayley = [[new_index[row[b]] for b in order_list] for row in rows]
+        generators = [new_index[g] for g in generators]
+        inv = [new_index[inv[a]] for a in order_list]
+        labels = [labels[a] for a in order_list] if labels else None
+        identity = 0
     # element orders
     orders = []
     for a in range(n):
         k, x = 1, a
-        while x != new_identity:
-            x = new_cayley[x][a]
+        while x != identity:
+            x = cayley[x][a]
             k += 1
         orders.append(k)
     if ell is not None:
@@ -233,7 +220,10 @@ def _build_group(cayley, generators, labels=None, ell=None, relabel=True):
                 raise NotEllGroup(
                     f"element {a} has order {orders[a]}, not a power of {ell}"
                 )
-    return n, new_cayley, new_identity, new_gens, new_labels, new_inv, tuple(orders)
+    return (
+        n, tuple(map(tuple, cayley)), identity, tuple(generators),
+        tuple(labels) if labels else None, tuple(inv), tuple(orders),
+    )
 
 
 def from_cayley_table(table, generators, labels=None, ell=None) -> FinGroup:
@@ -553,37 +543,8 @@ def from_class2_presentation(d, ring: RingConfig, commutators, powers, central_o
             raise InconsistentPresentation(f"central order {o} is not an l-power >= 2")
     _check_order(ring.ell, log_order)
 
-    from itertools import product as iproduct
-
-    elems = [
-        (a, c)
-        for a in iproduct(range(q), repeat=d)
-        for c in iproduct(*(range(o) for o in central_orders))
-    ]
+    elems, table = _class2_table(d, q, comm_map, powers, central_orders)
     index = {e: i for i, e in enumerate(elems)}
-
-    def mul(x, y):
-        a, cx = x
-        b, cy = y
-        cz = [(u + v) % o for u, v, o in zip(cx, cy, central_orders)]
-        for (i, j), w in comm_map.items():
-            f = a[j] * b[i]
-            if f:
-                for k, wk in enumerate(w):
-                    if wk:
-                        cz[k] = (cz[k] - f * wk) % central_orders[k]
-        na = []
-        for i in range(d):
-            t = a[i] + b[i]
-            if t >= q:
-                t -= q
-                for k, pk in enumerate(powers[i]):
-                    if pk:
-                        cz[k] = (cz[k] + pk) % central_orders[k]
-            na.append(t)
-        return (tuple(na), tuple(cz))
-
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
 
     def word_label(x):
         a, c = x
@@ -613,6 +574,56 @@ def from_class2_presentation(d, ring: RingConfig, commutators, powers, central_o
         if out.label(out.power(e[i], q)) != word_label(zc):
             raise InconsistentPresentation(f"e{i + 1}^{q} does not match its word")
     return out
+
+
+def _class2_table(d, q, comm_map, powers, central_orders):
+    """The normal-form words (a, c), top part a major, and their Cayley table.
+
+    (0, c) is central, so (a, c)(b, c') = (a, 0)(b, 0)·(0, c + c'): the table
+    takes one normal-form product per pair of top parts and a table of
+    central addition, not one product per pair of elements.
+    """
+    from itertools import product as iproduct
+
+    tops = list(iproduct(range(q), repeat=d))
+    cents = list(iproduct(*(range(o) for o in central_orders)))
+    top_index = {a: i for i, a in enumerate(tops)}
+    cent_index = {c: i for i, c in enumerate(cents)}
+    width = len(cents)
+
+    def top_mul(a, b):
+        """(a, 0)(b, 0) as (index of its (top, 0), index of its central part)."""
+        cz = [0] * len(central_orders)
+        for (i, j), w in comm_map.items():
+            f = a[j] * b[i]
+            if f:
+                for k, wk in enumerate(w):
+                    if wk:
+                        cz[k] = (cz[k] - f * wk) % central_orders[k]
+        na = []
+        for i in range(d):
+            t = a[i] + b[i]
+            if t >= q:
+                t -= q
+                for k, pk in enumerate(powers[i]):
+                    if pk:
+                        cz[k] = (cz[k] + pk) % central_orders[k]
+            na.append(t)
+        return top_index[tuple(na)] * width, cent_index[tuple(cz)]
+
+    cadd = [
+        [cent_index[tuple((u + v) % o for u, v, o in zip(x, y, central_orders))] for y in cents]
+        for x in cents
+    ]
+    table = []
+    for a in tops:
+        prods = [top_mul(a, b) for b in tops]
+        for c in range(width):
+            row = []
+            for base, z in prods:
+                row += [base + v for v in cadd[cadd[z][c]]]
+            table.append(row)
+    return [(a, c) for a in tops for c in cents], table
 
 
 def _table_group(elems, mul, gens, labelfunc=None, ell=None) -> FinGroup:

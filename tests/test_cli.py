@@ -177,17 +177,26 @@ def test_exit_5_on_nonequivariant_phi(capsys, tmp_path):
     assert "phi validation failed" in err
 
 
-def test_exit_5_on_misshapen_phi(tmp_path):
-    # run as a process, so a traceback would show on its real stderr
-    pf = tmp_path / "phi.json"
-    pf.write_text(json.dumps({"m": 2, "matrix": [[1, 2, 3]]}))
+def run_process(*argv):
+    """The CLI as a process, so a traceback would show on its real stderr;
+    returns the finished process and its wall time."""
     src = os.path.dirname(os.path.dirname(soclecoh.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "soclecoh.cli", "obstruction", "--catalog", "quaternion8",
-         "--ell", "2", "--n", "1", "--m", "2", "--phi-file", str(pf)],
+        [sys.executable, "-m", "soclecoh.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc, time.monotonic() - start
+
+
+def test_exit_5_on_misshapen_phi(tmp_path):
+    pf = tmp_path / "phi.json"
+    pf.write_text(json.dumps({"m": 2, "matrix": [[1, 2, 3]]}))
+    proc, _ = run_process(
+        "obstruction", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
+        "--phi-file", str(pf),
     )
     assert proc.returncode == 5
     assert "phi matrix must be" in proc.stderr
@@ -196,19 +205,25 @@ def test_exit_5_on_misshapen_phi(tmp_path):
 
 def test_exit_4_on_group_order_bound():
     # the order is checked from the parameters, before any table is built
-    src = os.path.dirname(os.path.dirname(soclecoh.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "soclecoh.cli", "socle", "--catalog", "cyclic",
-         "--params", "k=10", "--ell", "2", "--n", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+    proc, elapsed = run_process(
+        "socle", "--catalog", "cyclic", "--params", "k=10", "--ell", "2", "--n", "1"
     )
-    assert time.monotonic() - start < 5
+    assert elapsed < 5
     assert proc.returncode == 4
     assert "group order: limit 512, got 2^10" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_order_512_group_builds_quickly():
+    # the largest order the bound admits; its table is built and validated in
+    # O(n^2·|S|), where the cubic associativity scan took about 8 s
+    proc, elapsed = run_process(
+        "socle", "--catalog", "free_class2", "--params", "d=3", "--ell", "2", "--n", "1"
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
+    assert json.loads(proc.stdout)["order"] == 512
 
 
 def test_phi_file_happy_path(capsys, tmp_path):

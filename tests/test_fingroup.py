@@ -1,7 +1,11 @@
 """Group constructors, descending series, quotients, and the catalog."""
 
+import random
+from itertools import product as iproduct
+
 import pytest
 
+from soclecoh import fingroup
 from soclecoh.errors import (
     GeneratorsDontGenerate,
     InconsistentPresentation,
@@ -65,6 +69,175 @@ def test_broken_associativity_detected():
     t[3][3] = 1  # corrupt one entry
     with pytest.raises(NotAGroup):
         from_cayley_table(t, [1, 2])
+
+
+def cubic_associative(t):
+    """Test-local oracle: (ab)c = a(bc) over every triple."""
+    n = len(t)
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n))
+
+
+def has_identity_inverses_generation(t, gens):
+    """Test-local oracle for the other group axioms: a two-sided identity,
+    two-sided inverses, and generators whose two-sided closure is everything."""
+    n = len(t)
+    ids = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
+    if not ids:
+        return False
+    e = ids[0]
+    if not all(any(t[a][b] == e == t[b][a] for b in range(n)) for a in range(n)):
+        return False
+    reach, frontier = {e}, [e]
+    while frontier:
+        x = frontier.pop()
+        for y in [t[x][g] for g in gens] + [t[g][x] for g in gens]:
+            if y not in reach:
+                reach.add(y)
+                frontier.append(y)
+    return len(reach) == n
+
+
+def one_entry_corruptions(rng, per_group):
+    """Tables of five catalog groups, each untouched and then with one random
+    entry changed per_group times, with the group's generators."""
+    groups = [
+        catalog("quaternion8"),
+        catalog("dihedral8"),
+        catalog("wreath_z4_z2"),
+        catalog("unitriangular3", {"ell": 2, "n": 1}),
+        catalog("abelian_product", {"ell": 2, "exponents": [2, 1]}),
+    ]
+    for g in groups:
+        yield [list(row) for row in g.cayley], g.generators
+        for _ in range(per_group):
+            t = [list(row) for row in g.cayley]
+            a, b = rng.randrange(g.order), rng.randrange(g.order)
+            t[a][b] = rng.choice([v for v in g.elements() if v != t[a][b]])
+            yield t, g.generators
+
+
+def twisted_tables(rng, count):
+    """Tables on (u, h, k) in Z/2 x Z/2 x Z/4 with the product
+    (u + v + beta(k, l), h + i, k + l) for a random normalized beta: a loop
+    that is associative exactly when beta is a 2-cocycle.
+
+    Any generator detects a single changed entry of a group table, so those
+    alone cannot tell whether every generator is tested.  Here s = (0, 1, 0)
+    and s = (1, 0, 0) pass Light's test for every beta; only the last
+    generator (0, 0, 1) can expose a beta that is not a cocycle.
+    """
+    elems = list(iproduct(range(2), range(2), range(4)))
+    index = {e: i for i, e in enumerate(elems)}
+    gens = [index[(0, 1, 0)], index[(1, 0, 0)], index[(0, 0, 1)]]
+    for _ in range(count):
+        beta = [[rng.randrange(2) if k and l else 0 for l in range(4)] for k in range(4)]
+        table = [
+            [index[((u + v + beta[k][l]) % 2, (h + i) % 2, (k + l) % 4)] for v, i, l in elems]
+            for u, h, k in elems
+        ]
+        yield table, gens
+
+
+def test_light_test_matches_cubic_scan():
+    # a table is accepted exactly when the cubic scan and the other axioms
+    # accept it, and an associativity witness (a, b, s) is a real failure
+    # with s a generator
+    rng = random.Random(5)
+    cases = [*one_entry_corruptions(rng, 300), *twisted_tables(rng, 200)]
+    accepted_count = witnessed = 0
+    for t, gens in cases:
+        expected = cubic_associative(t) and has_identity_inverses_generation(t, gens)
+        try:
+            from_cayley_table(t, gens)
+            accepted = True
+        except (NotAGroup, GeneratorsDontGenerate) as exc:
+            accepted = False
+            if str(exc).startswith("associativity fails"):
+                x, y, s = exc.witness
+                assert s in gens and t[t[x][y]][s] != t[x][t[y][s]]
+                witnessed += 1
+        assert accepted == expected, t
+        accepted_count += accepted
+    assert accepted_count > 5 and witnessed > 600
+
+
+def per_pair_class2_table(d, q, comm_map, powers, central_orders):
+    """Test-local oracle: the normal-form product of every pair of words."""
+    elems = [
+        (a, c)
+        for a in iproduct(range(q), repeat=d)
+        for c in iproduct(*(range(o) for o in central_orders))
+    ]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        a, cx = x
+        b, cy = y
+        cz = [(u + v) % o for u, v, o in zip(cx, cy, central_orders)]
+        for (i, j), w in comm_map.items():
+            for k, wk in enumerate(w):
+                cz[k] = (cz[k] - a[j] * b[i] * wk) % central_orders[k]
+        na = []
+        for i in range(d):
+            t = a[i] + b[i]
+            if t >= q:
+                t -= q
+                for k, pk in enumerate(powers[i]):
+                    cz[k] = (cz[k] + pk) % central_orders[k]
+            na.append(t)
+        return tuple(na), tuple(cz)
+
+    return elems, [[index[mul(x, y)] for y in elems] for x in elems]
+
+
+def random_class2_presentations(count, seed):
+    """Seeded presentations of order at most 256, consistent or not: central
+    orders up to l^2 over Z/l make some of them non-associative."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ell = rng.choice([2, 3])
+        n = rng.choice([1, 1, 2]) if ell == 2 else 1
+        d = rng.randint(1, 3 if ell == 2 and n == 1 else 2)
+        s = rng.randint(0, 2 if ell == 2 else 1)
+        central_orders = [rng.choice([ell, ell, ell * ell]) for _ in range(s)]
+        comms = {
+            (i, j): tuple(rng.randrange(4) for _ in range(s))
+            for i in range(d) for j in range(i + 1, d) if rng.random() < 0.8
+        }
+        powers = [tuple(rng.randrange(4) for _ in range(s)) for _ in range(d)]
+        yield d, RingConfig(ell, n), comms, powers, central_orders
+
+
+def test_class2_table_matches_per_pair_product(monkeypatch):
+    presentations = list(random_class2_presentations(120, seed=9))
+    for d, ring, comms, powers, central_orders in presentations:
+        args = d, ring.modulus, comms, powers, central_orders
+        assert fingroup._class2_table(*args) == per_pair_class2_table(*args)
+
+    def outcome(build):
+        try:
+            g = build()
+        except InconsistentPresentation as exc:
+            return type(exc)
+        return g.cayley, g.labels, g.generators
+
+    builds = [
+        lambda name=name, params=params: catalog(name, params)
+        for name, params in [
+            ("quaternion8", None),
+            ("dihedral8", None),
+            ("heisenberg", {"ell": 3}),
+            ("heisenberg", {"ell": 5}),
+            ("free_class2", {"d": 2, "ell": 2, "n": 1}),
+            ("free_class2", {"d": 2, "ell": 3, "n": 1}),
+            ("free_class2", {"d": 3, "ell": 2, "n": 1}),
+        ]
+    ] + [lambda p=p: from_class2_presentation(*p) for p in presentations]
+    outcomes = [outcome(build) for build in builds]
+    monkeypatch.setattr(fingroup, "_class2_table", per_pair_class2_table)
+    assert [outcome(build) for build in builds] == outcomes
+    assert InconsistentPresentation in outcomes
+    assert sum(o is not InconsistentPresentation for o in outcomes) > 40
 
 
 def test_s3_is_not_a_2_group():
