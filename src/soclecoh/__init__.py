@@ -10,14 +10,6 @@ The obstruction module ties these together and the cli module exposes the
 pipeline as a command-line tool.
 """
 
-from .zmodlin import RingConfig, ZMat, HowellBasis, howell_form, solve, kernel, contains
+from .zmodlin import HowellBasis, LinearSolver, RingConfig, contains, howell_form_rows
 
-__all__ = [
-    "RingConfig",
-    "ZMat",
-    "HowellBasis",
-    "howell_form",
-    "solve",
-    "kernel",
-    "contains",
-]
+__all__ = ["RingConfig", "HowellBasis", "LinearSolver", "howell_form_rows", "contains"]

@@ -33,6 +33,7 @@ from .errors import (
     UnknownCatalogEntry,
     WrongLevel,
 )
+from .cohomology import DEFAULT_H2_MAX_ORDER, inflation_h2_surjective
 from .fingroup import catalog, group_from_json, make_extension
 from .obstruction import ObstructionContext
 from .zmodlin import RingConfig, span_orders
@@ -280,8 +281,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hypothesis(args) -> int:
-    from .cohomology import inflation_h2_surjective
-
     ctx = _context(args)
     holds, diag = inflation_h2_surjective(ctx.ext, max_order=args.max_order)
     report = {
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True, help="the exponent n of l^n")
         if with_m:
             sp.add_argument("--m", type=int, required=True, help="filtration level (>= 2)")
-        sp.add_argument("--max-order", type=int, default=32,
+        sp.add_argument("--max-order", type=int, default=DEFAULT_H2_MAX_ORDER,
                         help="largest total-group order allowed for the H^2 check")
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "text"), default="json")

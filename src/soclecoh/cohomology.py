@@ -33,8 +33,10 @@ from .gmodule import (
     JBundle,
     element_matrices,
     mat_apply,
+    mat_identity,
     mat_mul,
     module_J,
+    trivial_module,
     vec_reduce,
 )
 from .zmodlin import HowellBasis, LinearSolver, RingConfig, howell_form_rows, quotient_orders
@@ -57,26 +59,19 @@ class CoeffAction:
     mats: tuple
 
     @classmethod
-    def trivial(cls, group: FinGroup, ring: RingConfig, orders=None) -> "CoeffAction":
-        from .gmodule import mat_identity, trivial_module
-
-        mod = trivial_module(ring, orders, ngens=0)
+    def trivial(cls, group: FinGroup, ring: RingConfig) -> "CoeffAction":
+        mod = trivial_module(ring)
         ident = mat_identity(mod.orders)
         return cls(group, mod, tuple(ident for _ in group.elements()))
-
-    @classmethod
-    def through(cls, group: FinGroup, module: GModule, coords_of) -> "CoeffAction":
-        """Action of `group` via exponent coordinates over the module's generators."""
-        mats = element_matrices(module, [coords_of[x] for x in group.elements()])
-        return cls(group, module, mats)
 
     def act(self, x: int, v):
         return mat_apply(v, self.mats[x], self.module.orders)
 
 
 def action_for_quotient_module(ext: ExtensionData, module: GModule) -> CoeffAction:
-    """G acting on one of its own modules (generators = ext.sigma)."""
-    return CoeffAction.through(ext.quotient, module, ext.coords)
+    """G acting on one of its own modules (generators = ext.sigma), each
+    element through its exponent coordinates over the generators."""
+    return CoeffAction(ext.quotient, module, element_matrices(module, ext.coords))
 
 
 def action_through_projection(group: FinGroup, base: CoeffAction, proj) -> CoeffAction:
@@ -211,9 +206,8 @@ class CochainComplex:
     whose residues modulo the coordinate orders are the cochain values.
     """
 
-    def __init__(self, action: CoeffAction, max_cells: int = DEFAULT_RANK_CELLS):
+    def __init__(self, action: CoeffAction):
         self.action = action
-        self.max_cells = max_cells
         self.n1 = action.group.order - 1
         self.t = action.module.rank
         self._solvers = {}
@@ -259,30 +253,19 @@ class CochainComplex:
 
     def diff_rows(self, k: int):
         """Sparse rows of d: C^k -> C^{k+1} in scaled coordinates."""
-        q = self.action.module.ring.modulus
-        orders = self.action.module.orders
-        rows = []
-        for tup in self.basis_tuples(k):
-            for j in range(self.t):
-                unit = Cochain(
-                    self.action, k, {tup: tuple(1 if i == j else 0 for i in range(self.t))}
-                )
-                img = differential(unit)
-                row = {}
-                for t2, vec in img.values.items():
-                    base = self.tuple_index(t2) * self.t
-                    for j2, v in enumerate(vec):
-                        if v:
-                            row[base + j2] = v * (q // orders[j2]) % q
-                rows.append(row)
-        return rows
+        units = mat_identity(self.action.module.orders)
+        return [
+            self.flat(differential(Cochain(self.action, k, {tup: unit})))
+            for tup in self.basis_tuples(k)
+            for unit in units
+        ]
 
     def solver(self, k: int) -> LinearSolver:
         """Howell solver for d: C^k -> C^{k+1} (image, kernel, witnesses)."""
         if k not in self._solvers:
             cells = self.dim(k) + self.dim(k + 1)
-            if cells > self.max_cells:
-                raise SizeBound(f"cochain complex degree {k}", self.max_cells, cells)
+            if cells > DEFAULT_RANK_CELLS:
+                raise SizeBound(f"cochain complex degree {k}", DEFAULT_RANK_CELLS, cells)
             self._solvers[k] = LinearSolver(
                 self.diff_rows(k), self.dim(k + 1), self.action.module.ring
             )
@@ -313,8 +296,8 @@ class CochainComplex:
         slot = {s - 1: i for i, s in enumerate(gens)}
         ncols = self.grid(2) * len(gens) * self.t
         cells = self.dim(2) + ncols
-        if cells > self.max_cells:
-            raise SizeBound("generator-restricted degree-2 cocycle matrix", self.max_cells, cells)
+        if cells > DEFAULT_RANK_CELLS:
+            raise SizeBound("generator-restricted degree-2 cocycle matrix", DEFAULT_RANK_CELLS, cells)
         rows = []
         for row in self.diff_rows(2):
             cut = {}
@@ -349,14 +332,9 @@ class CochainComplex:
         return howell_form_rows(list(s.image_row_tuples()), self.dim(k), ring)
 
 
-def coboundary_witness(f: Cochain, complex: CochainComplex | None = None):
-    cc = complex or CochainComplex(f.action)
-    return cc.coboundary_witness(f)
-
-
-def cohomology_rank(action: CoeffAction, k: int, max_cells: int = DEFAULT_RANK_CELLS):
+def cohomology_rank(action: CoeffAction, k: int):
     """Cyclic orders of H^k = ker d_k / im d_{k-1}, descending."""
-    cc = CochainComplex(action, max_cells=max_cells)
+    cc = CochainComplex(action)
     z = cc.cocycle_basis(k)
     b = cc.coboundary_basis(k)
     return quotient_orders(z, b)
@@ -421,9 +399,7 @@ class Pairing:
 
 
 def multiplication_pairing(ring: RingConfig) -> Pairing:
-    from .gmodule import trivial_module
-
-    r = trivial_module(ring, None, 0)
+    r = trivial_module(ring)
     return Pairing(r, r, r, (((1,),),))
 
 
@@ -508,29 +484,34 @@ class CoefficientSES:
                 raise SocleCohError("inclusion is not injective")
 
     def pull_back(self, v):
-        """sub coordinates of a mid vector lying in the image of incl."""
+        """sub coordinates of a mid vector, or None outside the image of incl."""
         q = self.mid.module.ring.modulus
         mo = self.mid.module.orders
         b = [x * (q // o) % q for x, o in zip(v, mo)]
         c = self._incl_solver.solve(b)
-        if c is None:
-            raise SocleCohError("value does not lie in the submodule")
-        return vec_reduce(c, self.sub.module.orders)
+        return None if c is None else vec_reduce(c, self.sub.module.orders)
 
 
 def connecting(ses: CoefficientSES, f: Cochain) -> Cochain:
-    """delta f = d(section . f), pulled back to the submodule."""
+    """delta f = d(section . f), pulled back to the submodule.
+
+    proj is equivariant and split by section, so proj(d(section . f)) = d(f):
+    the values of d(section . f) all lie in the image of incl exactly when f
+    is a cocycle, and the pull-back is where a non-cocycle is caught.
+    """
     if f.action is not ses.quot and f.action.module is not ses.quot.module:
         raise DimensionMismatch("cochain does not take values in the quotient module")
-    if not is_cocycle(f):
-        raise NotACocycle("connecting map needs a cocycle")
     lifted = Cochain.make(
         ses.mid,
         f.degree,
         {t: mat_apply(v, ses.section, ses.mid.module.orders) for t, v in f.values.items()},
     )
-    d = differential(lifted)
-    values = {t: ses.pull_back(v) for t, v in d.values.items()}
+    values = {}
+    for t, v in differential(lifted).values.items():
+        c = ses.pull_back(v)
+        if c is None:
+            raise NotACocycle("connecting map needs a cocycle")
+        values[t] = c
     return Cochain.make(ses.sub, f.degree + 1, values)
 
 

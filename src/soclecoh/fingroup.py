@@ -14,6 +14,7 @@ Commutator convention: [x, y] = x^-1 y^-1 x y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     GeneratorsDontGenerate,
@@ -134,7 +135,7 @@ def _validate_table(cayley):
         if len(row) != n:
             raise NotAGroup(f"table is not square: row of length {len(row)} in order-{n} table")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:  # bool is not an index
                 raise NotAGroup(f"table entry {v!r} out of range 0..{n - 1}")
     identity = None
     for e in range(n):
@@ -176,10 +177,11 @@ def _build_group(cayley, generators, labels=None, ell=None, relabel=True):
     _check_order(n)
     cayley = [list(r) for r in cayley]
     identity, inv = _validate_table(cayley)
-    generators = list(dict.fromkeys(g for g in generators if g != identity))
+    generators = list(generators)
     for g in generators:
-        if not 0 <= g < n:
-            raise NotAGroup(f"generator index {g} out of range")
+        if type(g) is not int or not 0 <= g < n:
+            raise NotAGroup(f"generator index {g!r} out of range")
+    generators = list(dict.fromkeys(g for g in generators if g != identity))
 
     # identity first, then BFS by right multiplication: the canonical ordering
     order_list = [identity]
@@ -383,9 +385,7 @@ def abelian_structure(a: FinGroup) -> AbelianStructure:
     basis = tuple(p[0] for p in pairs)
     orders = tuple(p[1] for p in pairs)
     coords = [None] * a.order
-    from itertools import product as iproduct
-
-    for cs in iproduct(*(range(o) for o in orders)):
+    for cs in product(*(range(o) for o in orders)):
         x = a.identity
         for b, c in zip(basis, cs):
             x = a.mul(x, a.power(b, c))
@@ -530,11 +530,13 @@ def from_class2_presentation(d, ring: RingConfig, commutators, powers, central_o
     s = widths.pop() if widths else 0
     if central_orders is None:
         central_orders = [q] * s
-    central_orders = [int(o) for o in central_orders]
+    central_orders = list(central_orders)
     if len(central_orders) != s:
         raise InconsistentPresentation("central_orders length mismatch")
     log_order = ring.n * d
     for o in central_orders:
+        if type(o) is not int:
+            raise InconsistentPresentation(f"central order {o!r} is not an integer")
         k = o
         while k > 1 and k % ring.ell == 0:
             k //= ring.ell
@@ -583,10 +585,8 @@ def _class2_table(d, q, comm_map, powers, central_orders):
     takes one normal-form product per pair of top parts and a table of
     central addition, not one product per pair of elements.
     """
-    from itertools import product as iproduct
-
-    tops = list(iproduct(range(q), repeat=d))
-    cents = list(iproduct(*(range(o) for o in central_orders)))
+    tops = list(product(range(q), repeat=d))
+    cents = list(product(*(range(o) for o in central_orders)))
     top_index = {a: i for i, a in enumerate(tops)}
     cent_index = {c: i for i, c in enumerate(cents)}
     width = len(cents)
@@ -661,10 +661,8 @@ def catalog(name: str, params=None) -> FinGroup:
         ell = int(need("ell"))
         exps = [int(e) for e in need("exponents")]
         _check_order(ell, sum(exps))
-        from itertools import product as iproduct
-
         mods = [ell**e for e in exps]
-        elems = list(iproduct(*(range(m) for m in mods)))
+        elems = list(product(*(range(m) for m in mods)))
         gens = [
             tuple(1 if i == k else 0 for i in range(len(mods))) for k in range(len(mods))
         ]
@@ -695,9 +693,7 @@ def catalog(name: str, params=None) -> FinGroup:
         n = int(need("n"))
         _check_order(ell, 3 * n)
         m = ell**n
-        from itertools import product as iproduct
-
-        elems = list(iproduct(range(m), repeat=3))
+        elems = list(product(range(m), repeat=3))
 
         def mul(x, y):
             return ((x[0] + y[0]) % m, (x[1] + y[1]) % m, (x[2] + y[2] + x[0] * y[1]) % m)
@@ -711,8 +707,6 @@ def catalog(name: str, params=None) -> FinGroup:
             if si:
                 c, dd = dd, c
             return ((a + c) % 4, (b + dd) % 4, (si + t) % 2)
-
-        from itertools import product as iproduct
 
         elems = [(a, b, s) for a in range(4) for b in range(4) for s in range(2)]
         return _table_group(elems, mul, [(1, 0, 0), (0, 0, 1)], str, ell=2)

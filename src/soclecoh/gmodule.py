@@ -20,15 +20,16 @@ from .errors import DimensionMismatch, NotFreeModule, NotNilpotent
 from .fingroup import ExtensionData, FinGroup, abelian_structure
 from .zmodlin import (
     HowellBasis,
+    LinearSolver,
     QuotientPresentation,
     RingConfig,
     contains,
     enumerate_span,
     howell_form_rows,
-    kernel,
     quotient_presentation,
-    ZMat,
 )
+
+DEFAULT_JM_EXHAUSTIVE_BOUND = 256
 
 # ---------------------------------------------------------------------------
 # Vector/matrix arithmetic with per-coordinate orders.
@@ -122,8 +123,8 @@ def kernel_in_module(orders, maps, ring: RingConfig) -> HowellBasis:
             arow = a[k]
             row.extend((arow[j] * (q // orders_out[j])) % q for j in range(t_out))
         rows.append(row)
-    ker = kernel(ZMat.from_rows(rows, width, ring))
-    scaled = [scale_vec(vec_reduce(c, orders), orders, ring) for c in ker.rows]
+    ker = LinearSolver(rows, width, ring).kernel_row_tuples()
+    scaled = [scale_vec(vec_reduce(c, orders), orders, ring) for c in ker]
     return howell_form_rows(scaled, t, ring)
 
 
@@ -342,7 +343,7 @@ def hom_module(m: GModule, n: GModule) -> HomModule:
         min(m.orders[a], n.orders[b]) for a in range(m.rank) for b in range(n.rank)
     )
     minv = m.inverse_actions()
-    shell = HomModule(m, n, trivial_module(m.ring, orders or (m.ring.modulus,), 0))
+    shell = HomModule(m, n, trivial_module(m.ring, orders))  # for matrix_to_coords
     actions = []
     for i in range(len(m.actions)):
         rows = []
@@ -354,8 +355,7 @@ def hom_module(m: GModule, n: GModule) -> HomModule:
                 moved = mat_mul(mat_mul(minv[i], base, n.orders), n.actions[i], n.orders)
                 rows.append(shell.matrix_to_coords(moved))
         actions.append(tuple(rows))
-    mod = GModule(m.ring, orders, tuple(actions)) if orders else GModule(m.ring, (), tuple(() for _ in m.actions))
-    return HomModule(m, n, mod)
+    return HomModule(m, n, GModule(m.ring, orders, tuple(actions)))
 
 
 def hom_g(m: GModule, n: GModule):
@@ -492,10 +492,6 @@ def regular_module(gr: GroupRing) -> GModule:
     return GModule(gr.ring, orders, tuple(actions))
 
 
-def group_ring(group: FinGroup, ring: RingConfig, sigma=None, coords=None) -> GroupRing:
-    return GroupRing(group, ring, sigma=sigma, coords=coords)
-
-
 # ---------------------------------------------------------------------------
 # The quotient presentations Lambda_m and I_m.
 # ---------------------------------------------------------------------------
@@ -529,7 +525,7 @@ def i_m(gr: GroupRing, m: int) -> QuotientModule:
     ring = gr.ring
     amb = gr.size - 1
     sub_rows = [_rho_of_lambda(r) for r in gr.ideal_basis(m).rows]
-    qp = quotient_presentation(howell_form_rows(sub_rows, amb, ring), amb)
+    qp = quotient_presentation(howell_form_rows(sub_rows, amb, ring))
     orders = qp.orders
 
     def mult_sigma_rho(s, w):
@@ -545,17 +541,11 @@ def i_m(gr: GroupRing, m: int) -> QuotientModule:
                 out[s - 1] = (out[s - 1] - c) % q
         return tuple(out)
 
-    actions = []
-    for s in gr.sigma:
-        rows = []
-        for j in range(len(orders)):
-            y = tuple(1 if i == j else 0 for i in range(len(orders)))
-            moved = mult_sigma_rho(s, qp.section_vec(y))
-            rows.append(qp.project_vec(moved))
-        actions.append(tuple(rows))
-    module = make_module(ring, orders, actions) if orders else GModule(
-        ring, (), tuple(() for _ in gr.sigma)
-    )
+    lifts = [qp.section_vec(y) for y in mat_identity(orders)]
+    actions = [
+        tuple(qp.project_vec(mult_sigma_rho(s, w)) for w in lifts) for s in gr.sigma
+    ]
+    module = make_module(ring, orders, actions)
     return QuotientModule(amb, orders, qp.project, qp.section, ring, module)
 
 
@@ -565,7 +555,6 @@ def lambda_m(gr: GroupRing, m: int) -> QuotientModule:
     q = ring.modulus
     im = i_m(gr, m)
     orders = (q,) + im.module.orders
-    t = len(orders)
     actions = []
     for si, s in enumerate(gr.sigma):
         rows = []
@@ -584,12 +573,10 @@ def lambda_m(gr: GroupRing, m: int) -> QuotientModule:
         if g != 0:
             rho[g - 1] = 1
         project.append((1,) + im.project_vec(tuple(rho)))
-    section = []
     one = tuple(1 if g == 0 else 0 for g in range(gr.size))
-    section.append(one)
-    for j in range(len(im.module.orders)):
-        y = tuple(1 if i == j else 0 for i in range(len(im.module.orders)))
-        section.append(_lambda_of_rho(im.section_vec(y), ring))
+    section = [one] + [
+        _lambda_of_rho(im.section_vec(y), ring) for y in mat_identity(im.module.orders)
+    ]
     return QuotientModule(gr.size, orders, tuple(project), tuple(section), ring, module)
 
 
@@ -629,12 +616,9 @@ class JBundle:
     hab_orders_full: tuple
     h_coords: dict
 
-    def pair(self, jvec, habvec) -> int:
-        return dual_pair(jvec, habvec, self.hab.orders, self.module.ring)
 
-
-def module_J(ext: ExtensionData, ring: RingConfig | None = None) -> JBundle:
-    ring = ring or ext.ring
+def module_J(ext: ExtensionData) -> JBundle:
+    ring = ext.ring
     q = ring.modulus
     hgrp, to_parent, to_sub = ext.kernel.as_group()
     st = abelian_structure(hgrp)
@@ -647,9 +631,7 @@ def module_J(ext: ExtensionData, ring: RingConfig | None = None) -> JBundle:
             moved = g.conj(t_i, to_parent[b])
             rows.append(tuple(c % cap for c, cap in zip(st.coords[to_sub[moved]], caps)))
         conj_rows.append(tuple(rows))
-    hab = make_module(ring, caps, conj_rows) if caps else GModule(
-        ring, (), tuple(() for _ in ext.lifts)
-    )
+    hab = make_module(ring, caps, conj_rows)
     jmod = dual(hab)
     h_coords = {
         to_parent[i]: tuple(c % cap for c, cap in zip(st.coords[i], caps))
@@ -718,20 +700,16 @@ def quotient_module(module: GModule, sub_scaled: HowellBasis) -> QuotientModule:
         tuple(module.orders[k] if j == k else 0 for j in range(t)) for k in range(t)
     ]
     rel += [descale_vec(r, module.orders, ring) for r in sub_scaled.rows]
-    qp = quotient_presentation(howell_form_rows(rel, t, ring), t)
+    qp = quotient_presentation(howell_form_rows(rel, t, ring))
     orders = qp.orders
-    actions = []
-    for a in module.actions:
-        rows = []
-        for j in range(len(orders)):
-            y = tuple(1 if i == j else 0 for i in range(len(orders)))
-            x = vec_reduce(qp.section_vec(y), module.orders)
-            rows.append(qp.project_vec(mat_apply(x, a, module.orders)))
-        actions.append(tuple(rows))
-    newmod = make_module(ring, orders, actions) if orders else GModule(
-        ring, (), tuple(() for _ in module.actions)
+    section = tuple(
+        vec_reduce(qp.section_vec(y), module.orders) for y in mat_identity(orders)
     )
-    section = tuple(vec_reduce(qp.section_vec(tuple(1 if i == j else 0 for i in range(len(orders)))), module.orders) for j in range(len(orders)))
+    actions = [
+        tuple(qp.project_vec(mat_apply(x, a, module.orders)) for x in section)
+        for a in module.actions
+    ]
+    newmod = make_module(ring, orders, actions)
     return QuotientModule(t, orders, qp.project, section, ring, newmod)
 
 
@@ -752,6 +730,7 @@ class ExtensionModules:
         self.elem_mats = element_matrices(self.j.module, self.gr.coords)
         self._im = {}
         self._lam = {}
+        self._lifts = {}
 
     def i_m(self, m: int) -> QuotientModule:
         if m not in self._im:
@@ -763,24 +742,25 @@ class ExtensionModules:
             self._lam[m] = lambda_m(self.gr, m)
         return self._lam[m]
 
-    def im_lift_to_lambda(self, m: int, y):
-        """Lift I_m coordinates to a Lambda coefficient vector."""
-        im = self.i_m(m)
-        return _lambda_of_rho(im.section_vec(y), self.ring)
+    def lift_actions(self, m: int):
+        """Action matrices on J of the Lambda lifts of the I_m basis vectors."""
+        if m not in self._lifts:
+            im = self.i_m(m)
+            self._lifts[m] = tuple(
+                lambda_action_matrix(
+                    self.j.module, self.elem_mats, _lambda_of_rho(im.section_vec(y), self.ring)
+                )
+                for y in mat_identity(im.module.orders)
+            )
+        return self._lifts[m]
 
     def phi_gamma_matrix(self, gamma, m: int):
         """Matrix of eta |-> eta . gamma on I_m, rows per I_m coordinate."""
-        im = self.i_m(m)
-        rows = []
-        for a in range(im.module.rank):
-            y = tuple(1 if i == a else 0 for i in range(im.module.rank))
-            w = self.im_lift_to_lambda(m, y)
-            nmat = lambda_action_matrix(self.j.module, self.elem_mats, w)
-            rows.append(mat_apply(gamma, nmat, self.j.module.orders))
-        return tuple(rows)
+        orders = self.j.module.orders
+        return tuple(mat_apply(gamma, nmat, orders) for nmat in self.lift_actions(m))
 
 
-def jm_via_invariant_homs(em: ExtensionModules, m: int, exhaustive_bound: int = 256):
+def jm_via_invariant_homs(em: ExtensionModules, m: int):
     """Both invariant-hom sides of level m plus the explicit comparison.
 
     Returns a dict with the Lambda_m side, the I_m side, the evaluation map
@@ -808,7 +788,7 @@ def jm_via_invariant_homs(em: ExtensionModules, m: int, exhaustive_bound: int = 
     # commuting square: restriction of f equals phi_{f(1)}
     square_ok = True
     checked = 0
-    if basis_lam.span_size() <= exhaustive_bound:
+    if basis_lam.span_size() <= DEFAULT_JM_EXHAUSTIVE_BOUND:
         for c in enumerate_scaled_span(basis_lam, hom_lam.module.orders, em.ring):
             f = hom_lam.coords_to_matrix(c)
             gamma = f[0] if f else tuple()

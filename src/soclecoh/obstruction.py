@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import random
 
 from .cohomology import (
+    DEFAULT_H2_MAX_ORDER,
     CochainComplex,
     CoeffAction,
     Cochain,
@@ -44,8 +45,9 @@ from .errors import (
     SocleCohError,
     WrongLevel,
 )
-from .fingroup import ExtensionData, Subgroup, build_extension, quotient
+from .fingroup import ExtensionData, Subgroup, abelian_structure, build_extension, quotient
 from .gmodule import (
+    DEFAULT_JM_EXHAUSTIVE_BOUND,
     ExtensionModules,
     GModule,
     descale_vec,
@@ -54,7 +56,6 @@ from .gmodule import (
     dual_transpose,
     enumerate_scaled_span,
     hom_g,
-    lambda_action_matrix,
     mat_apply,
     mat_mul,
     module_J,
@@ -73,7 +74,6 @@ from .zmodlin import (
 )
 
 DEFAULT_HOM_ENUM_BOUND = 4096
-DEFAULT_JM_EXHAUSTIVE_BOUND = 256
 
 
 def _check_phi_shape(ctx: "ObstructionContext", m: int, matrix) -> None:
@@ -157,7 +157,7 @@ class GPhiData:
 class ObstructionContext:
     """All caches for one extension: modules, factor set, solvers."""
 
-    def __init__(self, ext: ExtensionData, label: str = "", h2_max_order: int = 32):
+    def __init__(self, ext: ExtensionData, label: str = "", h2_max_order: int = DEFAULT_H2_MAX_ORDER):
         self.ext = ext
         self.ring = ext.ring
         self.label = label
@@ -242,10 +242,10 @@ class ObstructionContext:
             raise GammaNotInSocleLevel(f"gamma {gamma} is not in socle level {m}")
         return self.phi_from_matrix(m, self.em.phi_gamma_matrix(gamma, m))
 
-    def enumerate_phi(self, m: int, bound: int = DEFAULT_HOM_ENUM_BOUND):
+    def enumerate_phi(self, m: int):
         hm, basis = self.hom_phi_basis(m)
-        if basis.span_size() > bound:
-            raise SizeBound("Hom_G(I_m, J) enumeration", bound, basis.span_size())
+        if basis.span_size() > DEFAULT_HOM_ENUM_BOUND:
+            raise SizeBound("Hom_G(I_m, J) enumeration", DEFAULT_HOM_ENUM_BOUND, basis.span_size())
         for c in enumerate_scaled_span(basis, hm.module.orders, self.ring):
             yield self.phi_from_matrix(m, hm.coords_to_matrix(c))
 
@@ -345,7 +345,6 @@ class ObstructionContext:
             routes["m2"] = m2
             diff = base.psi_cocycle.add(m2.neg())
             w = self.r_complex.coboundary_witness(diff)
-            agreement["generic_vs_m2_witness"] = w
             agreement["generic_vs_m2_cohomologous"] = w is not None
         routes["agreement"] = agreement
         return ObstructionResult(
@@ -392,8 +391,6 @@ class ObstructionContext:
         khab = jb_phi.hab
         # basis elements of K = H/H_phi, lifted to least preimages in H
         kgrp, to_parent_k, _ = kernel_phi.as_group()
-        from .fingroup import abelian_structure
-
         st = abelian_structure(kgrp)
         iso_rows = []
         ok_iso = True
@@ -422,11 +419,7 @@ class ObstructionContext:
                     raise SocleCohError("phi image is not action-stable")
                 rows.append(tuple(c % o for c, o in zip(cs, o_orders)))
             act_rows.append(tuple(rows))
-        if image.rows:
-            image_mod = GModule(self.ring, o_orders, tuple(act_rows))
-        else:
-            image_mod = GModule(self.ring, (), tuple(() for _ in range(ext.d)))
-        image_dual = dual(image_mod)
+        image_dual = dual(GModule(self.ring, o_orders, tuple(act_rows)))
         # iso equivariance: K-action vs (Im phi)^vee action
         if kernel_iso and ok_iso:
             for i in range(ext.d):
@@ -499,23 +492,13 @@ class ObstructionContext:
         if t == 0:
             return tuple() if phi.is_zero() else None
         km = em.socle.basis(m)
-        im = em.i_m(m)
         q = self.ring.modulus
         # scaled action matrices of the canonical I_m basis lifts
-        blocks = []
-        targets = []
-        for a in range(im.module.rank):
-            y = tuple(1 if i == a else 0 for i in range(im.module.rank))
-            w = em.im_lift_to_lambda(m, y)
-            nmat = lambda_action_matrix(jmod, em.elem_mats, w)
-            scaled = tuple(
-                tuple(nmat[k][j] * (q // jmod.orders[j]) % q for j in range(t))
-                for k in range(t)
-            )
-            blocks.append(scaled)
-            targets.extend(
-                phi.matrix[a][j] * (q // jmod.orders[j]) % q for j in range(t)
-            )
+        blocks = [
+            tuple(scale_vec(row, jmod.orders, self.ring) for row in nmat)
+            for nmat in em.lift_actions(m)
+        ]
+        targets = [x for row in phi.matrix for x in scale_vec(row, jmod.orders, self.ring)]
         rows = []
         for kr in km.rows:
             row = []
@@ -524,7 +507,7 @@ class ObstructionContext:
             for scaled in blocks:
                 row.extend(sum(x[k] * scaled[k][j] for k in range(t)) % q for j in range(t))
             rows.append(row)
-        solver = LinearSolver(rows, im.module.rank * t, self.ring)
+        solver = LinearSolver(rows, len(blocks) * t, self.ring)
         c = solver.solve(targets)
         if c is None:
             return None
@@ -536,13 +519,7 @@ class ObstructionContext:
         xmin = lex_min_in_coset(tuple(x0), em.socle.basis(1))
         return descale_vec(xmin, jmod.orders, self.ring)
 
-    def verify_theorem(
-        self,
-        m: int,
-        mode=("exhaustive",),
-        hom_bound: int = DEFAULT_HOM_ENUM_BOUND,
-        jm_bound: int = DEFAULT_JM_EXHAUSTIVE_BOUND,
-    ):
+    def verify_theorem(self, m: int, mode=("exhaustive",)):
         """Check both theorem directions and report, JSON-ready.
 
         mode is ("exhaustive",) or ("sampled", seed, count).  direction2 is
@@ -558,9 +535,9 @@ class ObstructionContext:
         exhaustive = mode[0] == "exhaustive"
         if exhaustive:
             jm_size = em.socle.basis(m).span_size()
-            gammas = list(self.enumerate_jm(m)) if jm_size <= jm_bound else None
-            if gammas is None:
-                raise SizeBound("exhaustive J_m enumeration", jm_bound, jm_size)
+            if jm_size > DEFAULT_JM_EXHAUSTIVE_BOUND:
+                raise SizeBound("exhaustive J_m enumeration", DEFAULT_JM_EXHAUSTIVE_BOUND, jm_size)
+            gammas = list(self.enumerate_jm(m))
         else:
             _, seed, count = mode
             rng = random.Random(seed)
@@ -585,7 +562,7 @@ class ObstructionContext:
                 )
 
         if exhaustive:
-            phis = list(self.enumerate_phi(m, bound=hom_bound))
+            phis = list(self.enumerate_phi(m))
         else:
             _, seed, count = mode
             phis = list(self.random_phi(m, random.Random(seed + 1), count))

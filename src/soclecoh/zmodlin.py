@@ -10,14 +10,15 @@ rows), which is what makes membership and canonical solving work.
 Conventions used throughout the package:
 
 * vectors are rows, matrices act on the right: ``y = x . A``;
-* ``solve(a, b)`` solves ``x . a = b`` and returns the lexicographically
-  least solution vector (canonical representatives in ``[0, l^n)``);
+* ``LinearSolver(a, ncols, ring).solve(b)`` solves ``x . a = b`` and returns
+  the lexicographically least solution vector (canonical representatives in
+  ``[0, l^n)``);
 * all residues are kept reduced modulo l^n at all times.
 
-Three interchangeable row representations back the same algorithm: dense
-lists for small matrices, ``{column: value}`` dicts for large sparse ones
-(bar differentials are overwhelmingly zero), and packed int bitmasks when
-the modulus is 2.  All produce the identical canonical form.
+Rows come in as dense sequences or as ``{column: value}`` dicts (bar
+differentials are overwhelmingly zero).  Two engines eliminate them: one on
+dict rows, and one on rows packed into int bitmasks when the modulus is 2.
+Both produce the identical canonical form.
 """
 
 from __future__ import annotations
@@ -82,42 +83,6 @@ class RingConfig:
 
 
 @dataclass(frozen=True)
-class ZMat:
-    """Dense matrix over Z/l^n, entries row-major and reduced."""
-
-    rows: int
-    cols: int
-    entries: tuple
-    ring: RingConfig
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows, cols: int, ring: RingConfig) -> "ZMat":
-        rows = list(rows)
-        q = ring.modulus
-        flat = []
-        for r in rows:
-            r = list(r)
-            if len(r) != cols:
-                raise DimensionMismatch(f"row of length {len(r)}, expected {cols}")
-            flat.extend(v % q for v in r)
-        return cls(len(rows), cols, tuple(flat), ring)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_dicts(self):
-        return [
-            {j: v for j, v in enumerate(self.row(i)) if v} for i in range(self.rows)
-        ]
-
-
-@dataclass(frozen=True)
 class HowellBasis:
     """Canonical basis of a submodule of (Z/l^n)^ambient_rank."""
 
@@ -130,11 +95,7 @@ class HowellBasis:
 
     def pivots(self):
         """List of (column, pivot valuation) per row."""
-        out = []
-        for r in self.rows:
-            c = next(j for j, v in enumerate(r) if v)
-            out.append((c, self.ring.val(r[c])))
-        return out
+        return [(c, self.ring.val(pe)) for c, pe, _ in _basis_pivots(self)]
 
     def span_size_log(self) -> int:
         """log_l of the number of elements in the span."""
@@ -276,6 +237,13 @@ def _reduce_bits(x: int, pivots) -> int:
     return x
 
 
+def _check_lengths(rows, width: int) -> None:
+    """Every dense row has length width; dict rows are sparse and exempt."""
+    for r in rows:
+        if not isinstance(r, dict) and len(r) != width:
+            raise DimensionMismatch(f"row length {len(r)} != width {width}")
+
+
 def _basis_pivots(sub: HowellBasis):
     """The rows of a Howell basis as pivots for _reduce."""
     out = []
@@ -290,16 +258,18 @@ class LinearSolver:
     """Canonical solving machinery for one matrix: x . A = b.
 
     Built from the Howell form of [A | I]; exposes the canonical image basis,
-    the canonical kernel basis (in coefficient space), membership tests, and
-    lexicographically-least solutions.  Accepts dense row lists or sparse
-    row dicts.  The Howell rows are kept whole: a row [a | t] with pivot in
-    A satisfies t . A = a, and a row [0 | t] spans the kernel.
+    the canonical kernel basis (in coefficient space), and lexicographically
+    least solutions (None when b is outside the image).  Accepts dense rows
+    of length ncols or sparse row dicts.  The Howell rows are kept whole: a
+    row [a | t] with pivot in A satisfies t . A = a, and a row [0 | t] spans
+    the kernel.
     """
 
     def __init__(self, rows, ncols: int, ring: RingConfig):
         self.ring = ring
         self.ncols = ncols
         rows = list(rows)
+        _check_lengths(rows, ncols)
         self.nrows = len(rows)
         self.bits = ring.modulus == 2
         if self.bits:
@@ -332,9 +302,6 @@ class LinearSolver:
 
     # -- solving ----------------------------------------------------------
 
-    def contains(self, b) -> bool:
-        return self.solve(b) is not None
-
     def solve(self, b):
         """Lexicographically least x with x . A = b, or None.
 
@@ -343,6 +310,7 @@ class LinearSolver:
         makes it the least solution.
         """
         n = self.ncols
+        _check_lengths((b,), n)
         if self.bits:
             # the rows are in RREF, so x is already clear at the kernel pivots
             x = _reduce_bits(_pack(b), self._image)
@@ -360,8 +328,7 @@ class LinearSolver:
 
 def lex_min_in_coset(vec, basis: HowellBasis):
     """Lexicographically least element of vec + span(basis)."""
-    if len(vec) != basis.ambient_rank:
-        raise DimensionMismatch("vector/ambient rank mismatch")
+    _check_lengths((vec,), basis.ambient_rank)
     q = basis.ring.modulus
     r = _as_dict(vec, q)
     _reduce(r, _basis_pivots(basis), q)
@@ -375,9 +342,7 @@ def lex_min_in_coset(vec, basis: HowellBasis):
 
 def howell_form_rows(rows, ambient_rank: int, ring: RingConfig) -> HowellBasis:
     rows = list(rows)
-    for r in rows:
-        if not isinstance(r, dict) and len(r) != ambient_rank:
-            raise DimensionMismatch(f"row length {len(r)} != ambient rank {ambient_rank}")
+    _check_lengths(rows, ambient_rank)
     if ring.modulus == 2:
         pivots = _howell_bits(_pack(r) for r in rows)
         out = [tuple((row >> j) & 1 for j in range(ambient_rank)) for _, _, row in pivots]
@@ -387,37 +352,14 @@ def howell_form_rows(rows, ambient_rank: int, ring: RingConfig) -> HowellBasis:
     return HowellBasis(ambient_rank, tuple(out), ring)
 
 
-def howell_form(generators: ZMat) -> HowellBasis:
-    """Canonical basis of the row span of the given matrix."""
-    return howell_form_rows(generators.row_dicts(), generators.cols, generators.ring)
-
-
-def kernel(a: ZMat) -> HowellBasis:
-    """Canonical basis of {x : x . a = 0}."""
-    solver = LinearSolver(a.row_dicts(), a.cols, a.ring)
-    return HowellBasis(a.rows, solver.kernel_row_tuples(), a.ring)
-
-
-def solve(a: ZMat, b):
-    """One canonical solution of x . a = b, or None when unsolvable."""
-    b = list(b)
-    if len(b) != a.cols:
-        raise DimensionMismatch(f"rhs length {len(b)} != cols {a.cols}")
-    return LinearSolver(a.row_dicts(), a.cols, a.ring).solve(b)
-
-
 def contains(sub: HowellBasis, v) -> bool:
     """Membership of v in the span of a Howell basis."""
-    v = list(v)
-    if len(v) != sub.ambient_rank:
-        raise DimensionMismatch(f"vector length {len(v)} != ambient rank {sub.ambient_rank}")
-    r = _as_dict(v, sub.ring.modulus)
-    _reduce(r, _basis_pivots(sub), sub.ring.modulus)
-    return not r
+    return coords_in_basis(sub, v) is not None
 
 
 def coords_in_basis(sub: HowellBasis, v):
     """Unique coefficients (c_i in [0, l^(n-e_i))) with v = sum c_i row_i, or None."""
+    _check_lengths((v,), sub.ambient_rank)
     r = _as_dict(v, sub.ring.modulus)
     pivots = _basis_pivots(sub)
     fs = _reduce(r, pivots, sub.ring.modulus)
@@ -437,23 +379,6 @@ def enumerate_span(sub: HowellBasis):
                     if w:
                         v[k] = (v[k] + f * w) % q
         yield tuple(v)
-
-
-def sum_spans(a: HowellBasis, b: HowellBasis) -> HowellBasis:
-    if a.ambient_rank != b.ambient_rank:
-        raise DimensionMismatch("ambient ranks differ")
-    return howell_form_rows(list(a.rows) + list(b.rows), a.ambient_rank, a.ring)
-
-
-def zero_basis(ambient_rank: int, ring: RingConfig) -> HowellBasis:
-    return HowellBasis(ambient_rank, (), ring)
-
-
-def full_basis(ambient_rank: int, ring: RingConfig) -> HowellBasis:
-    rows = tuple(
-        tuple(1 if i == j else 0 for j in range(ambient_rank)) for i in range(ambient_rank)
-    )
-    return HowellBasis(ambient_rank, rows, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -568,24 +493,18 @@ class QuotientPresentation:
         return tuple(out)
 
 
-def quotient_presentation(sub: HowellBasis, ambient_rank: int | None = None) -> QuotientPresentation:
+def quotient_presentation(sub: HowellBasis) -> QuotientPresentation:
     """Present ambient/span(sub) as a product of cyclic l-power groups."""
     ring = sub.ring
-    if ambient_rank is None:
-        ambient_rank = sub.ambient_rank
-    if ambient_rank != sub.ambient_rank:
-        raise DimensionMismatch("ambient rank mismatch")
-    q, ell, n = ring.modulus, ring.ell, ring.n
+    ambient_rank = sub.ambient_rank
     diag, Q, Qinv = smith_normal_form(list(sub.rows), ambient_rank, ring)
     orders = []
     kept = []
     for j in range(ambient_rank):
-        d = diag[j] if j < len(diag) else 0
-        o = ell ** ring.val(d) if d else q
-        if ring.val(d) == 0 and d:
-            continue  # unit pivot: coordinate dies in the quotient
-        orders.append(o)
-        kept.append(j)
+        v = ring.val(diag[j]) if j < len(diag) else ring.n
+        if v:  # a unit pivot kills its coordinate in the quotient
+            orders.append(ring.ell**v)
+            kept.append(j)
     project = tuple(tuple(Q[i][j] for j in kept) for i in range(ambient_rank))
     section = tuple(tuple(Qinv[j]) for j in kept)
     return QuotientPresentation(ambient_rank, tuple(orders), project, section, ring)
@@ -593,7 +512,7 @@ def quotient_presentation(sub: HowellBasis, ambient_rank: int | None = None) -> 
 
 def span_orders(h: HowellBasis):
     """Invariant factors of the span as an abstract module, descending."""
-    return quotient_orders(h, zero_basis(h.ambient_rank, h.ring))
+    return quotient_orders(h, HowellBasis(h.ambient_rank, (), h.ring))
 
 
 def quotient_orders(u: HowellBasis, v: HowellBasis):

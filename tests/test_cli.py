@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import soclecoh
 from helpers import mixer32
 from soclecoh.cli import main
@@ -212,6 +214,40 @@ def test_exit_4_on_group_order_bound():
     assert proc.returncode == 4
     assert "group order: limit 512, got 2^10" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Group files whose JSON types are wrong: each must exit 2 with its reason and
+# no traceback (a bool is an int to Python, a float was once truncated).
+JSON_TYPE_HOLES = {
+    "bool_table_entry": (
+        {"cayley": [[0, True], [True, 0]], "generators": [True]},
+        "table entry True out of range",
+    ),
+    "bool_generator": (
+        {"cayley": [[0, 1], [1, 0]], "generators": [True]},
+        "generator index True out of range",
+    ),
+    "float_central_order": (
+        {"class2": {"d": 1, "ell": 2, "n": 1, "powers": [[1]], "central_orders": [2.5]}},
+        "central order 2.5 is not an integer",
+    ),
+    "bool_central_order": (
+        {"class2": {"d": 1, "ell": 2, "n": 1, "powers": [[1]], "central_orders": [True]}},
+        "central order True is not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_TYPE_HOLES))
+def test_exit_2_on_json_type_holes(tmp_path, case):
+    spec, reason = JSON_TYPE_HOLES[case]
+    gf = tmp_path / "g.json"
+    gf.write_text(json.dumps(spec))
+    proc, elapsed = run_process("socle", "--group-file", str(gf), "--ell", "2", "--n", "1")
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
 
 
 def test_order_512_group_builds_quickly():

@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 
 from helpers import mixer32
+from soclecoh import cohomology
 from soclecoh.cohomology import (
     CochainComplex,
     CoeffAction,
     Cochain,
     CoefficientSES,
     action_for_quotient_module,
-    coboundary_witness,
     cohomology_rank,
     connecting,
     cup,
@@ -27,7 +27,7 @@ from soclecoh.cohomology import (
 )
 from soclecoh.errors import EquivarianceFailure, NotACocycle, PairingMismatch, SizeBound
 from soclecoh.fingroup import Subgroup, catalog, make_extension
-from soclecoh.gmodule import ExtensionModules, dual, trivial_module
+from soclecoh.gmodule import ExtensionModules, dual, mat_identity, trivial_module
 from soclecoh.obstruction import ObstructionContext
 from soclecoh.zmodlin import RingConfig, howell_form_rows
 
@@ -131,10 +131,12 @@ def test_differential_matches_bar_formula():
         make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4), label="u3"
     )
     mixer = make_extension(mixer32(), R2)
+    z4, q8_group = catalog("cyclic", {"ell": 2, "k": 2}), catalog("quaternion8")
     cases = [
         (CoeffAction.trivial(catalog("dihedral8"), R2), 3),
-        (CoeffAction.trivial(catalog("cyclic", {"ell": 2, "k": 2}), R4, orders=(4, 2)), 3),
-        (CoeffAction.trivial(catalog("quaternion8"), R4, orders=(2, 4)), 2),
+        # trivial actions on modules of mixed cyclic orders
+        (CoeffAction(z4, trivial_module(R4, (4, 2)), (mat_identity((4, 2)),) * z4.order), 3),
+        (CoeffAction(q8_group, trivial_module(R4, (2, 4)), (mat_identity((2, 4)),) * 8), 2),
         # nontrivial actions, where the first face mixes coordinates
         (q8.dual_sequence(2).mid, 3),
         (action_for_quotient_module(mixer, ExtensionModules(mixer).j.module), 3),
@@ -155,7 +157,7 @@ def test_nonzero_class_on_z2():
     act = CoeffAction.trivial(g, R2)
     f = Cochain.make(act, 1, {(1,): (1,)})
     assert is_cocycle(f)
-    assert coboundary_witness(f) is None
+    assert CochainComplex(f.action).coboundary_witness(f) is None
 
 
 # -- coboundary witnesses ------------------------------------------------------
@@ -164,7 +166,7 @@ def test_nonzero_class_on_z2():
 def test_witness_zero_cocycle():
     act = trivial_action("quaternion8", R2)
     z = Cochain.zero(act, 2)
-    w = coboundary_witness(z)
+    w = CochainComplex(z.action).coboundary_witness(z)
     assert w is not None and w.is_zero()
 
 
@@ -177,7 +179,7 @@ def test_witness_requires_cocycle():
     if is_cocycle(bad):
         bad = bad.add(Cochain.make(act, 1, {(2,): (1,)}))
     with pytest.raises(NotACocycle):
-        coboundary_witness(bad)
+        CochainComplex(bad.action).coboundary_witness(bad)
 
 
 def test_witness_of_actual_coboundary_reproduces():
@@ -201,7 +203,7 @@ def test_q8_factor_set_is_not_a_coboundary():
     act = CoeffAction.trivial(ext.quotient, R2)
     chi = ((1,),)
     c = d2_on_E01(ec, chi, act)
-    assert coboundary_witness(c) is None
+    assert CochainComplex(c.action).coboundary_witness(c) is None
 
 
 def test_split_extension_factor_set_vanishes():
@@ -220,9 +222,8 @@ def test_z4_over_z2_factor_set():
     ec = extension_cocycle(ext)
     sigma = ext.sigma[0]
     assert ec.alpha.value((sigma, sigma)) == (1,)
-    assert coboundary_witness(
-        d2_on_E01(ec, ((1,),), CoeffAction.trivial(ext.quotient, R2))
-    ) is None
+    c = d2_on_E01(ec, ((1,),), CoeffAction.trivial(ext.quotient, R2))
+    assert CochainComplex(c.action).coboundary_witness(c) is None
 
 
 # -- cohomology ranks -----------------------------------------------------------
@@ -261,11 +262,12 @@ def test_hk_z4_over_z4_ring():
         assert cohomology_rank(act, k) == (4,)
 
 
-def test_rank_size_bound():
+def test_rank_size_bound(monkeypatch):
     g = catalog("unitriangular3", {"ell": 2, "n": 2})
     act = CoeffAction.trivial(g, R4)
+    monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 1000)
     with pytest.raises(SizeBound):
-        cohomology_rank(act, 3, max_cells=1000)
+        cohomology_rank(act, 3)
 
 
 # -- Z^2 from the cocycle identity on generators ----------------------------------
@@ -330,8 +332,9 @@ def test_z2_generator_route_matches_full_bar_nontrivial_module():
     assert cc.cocycle_basis(2) == full_bar_z2(cc)
 
 
-def test_z2_size_bound():
-    cc = CochainComplex(trivial_action("quaternion8", R2), max_cells=50)
+def test_z2_size_bound(monkeypatch):
+    monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 50)
+    cc = CochainComplex(trivial_action("quaternion8", R2))
     with pytest.raises(SizeBound, match="generator-restricted"):
         cc.cocycle_basis(2)
 
@@ -366,7 +369,7 @@ def test_cup_x_with_x_nonzero_class_on_z2():
     (x,) = one_cochains_basis(ext)
     xx = cup(x, x, multiplication_pairing(R2), act)
     assert is_cocycle(xx)
-    assert coboundary_witness(xx) is None
+    assert CochainComplex(xx.action).coboundary_witness(xx) is None
 
 
 def test_cup_leibniz_random():
@@ -463,6 +466,32 @@ def test_connecting_section_independence():
         d1 = connecting(ses, f)
         d2c = connecting(ses2, f)
         assert cc.coboundary_witness(d1.add(d2c.neg())) is not None
+
+
+def test_connecting_rejects_non_cocycle():
+    # proj(d(section . f)) = d(f), so d(section . f) leaves the image of incl
+    # exactly when f is not a cocycle
+    rng = random.Random(13)
+    cases = (
+        ("quaternion8", None, R2, 2),
+        ("quaternion8", None, R2, 3),
+        ("unitriangular3", {"ell": 2, "n": 2}, R4, 2),
+    )
+    for name, params, ring, m in cases:
+        ses = dual_sequence(ExtensionModules(make_extension(catalog(name, params), ring)), m)
+        rejected = 0
+        for degree in (1, 2):
+            for _ in range(10):
+                f = random_cochain(ses.quot, degree, rng)
+                if is_cocycle(f):
+                    assert connecting(ses, f).degree == degree + 1
+                    continue
+                with pytest.raises(NotACocycle):
+                    connecting(ses, f)
+                rejected += 1
+                # a cocycle passes: the coboundary of the same cochain
+                assert connecting(ses, differential(f)).degree == degree + 2
+        assert rejected, name
 
 
 # -- inflation / restriction -------------------------------------------------------
@@ -634,7 +663,7 @@ def test_extension_cocycle_transversal_independence():
 
 def test_i2_free_on_rho_basis_for_free_quotients():
     # I/I^2 is trivial and free of rank d on the images of sigma_i - 1
-    from soclecoh.gmodule import group_ring, i_m, scaled_span, mat_identity
+    from soclecoh.gmodule import GroupRing, i_m, scaled_span
 
     for name, ring, params in (
         ("quaternion8", R2, None),
@@ -642,7 +671,7 @@ def test_i2_free_on_rho_basis_for_free_quotients():
         ("wreath_z4_z2", R2, None),
     ):
         ext = make_extension(catalog(name, params), ring)
-        gr = group_ring(ext.quotient, ring, ext.sigma, ext.coords)
+        gr = GroupRing(ext.quotient, ring, ext.sigma, ext.coords)
         im = i_m(gr, 2)
         assert im.module.orders == (ring.modulus,) * ext.d
         ident = mat_identity(im.module.orders)
@@ -661,7 +690,7 @@ def test_i2_free_on_rho_basis_for_free_quotients():
 def test_connecting_level2_equals_dual_basis_cup_sum():
     # delta(xi) is cohomologous to sum_i -x_i cup xi_i, where xi_i evaluates
     # the I_2^vee values of xi at the class of sigma_i - 1
-    from soclecoh.gmodule import dual_pair, group_ring, i_m
+    from soclecoh.gmodule import GroupRing, dual_pair, i_m
 
     for name in ("quaternion8", "wreath_z4_z2"):
         ext = make_extension(catalog(name), R2)

@@ -7,13 +7,13 @@ from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import (
     ExtensionModules,
     GModule,
+    GroupRing,
     dual,
     dual_pair,
     enumerate_hom_g,
     enumerate_module,
     enumerate_scaled_span,
     full_scaled_basis,
-    group_ring,
     hom_g,
     i_m,
     invariants,
@@ -49,7 +49,7 @@ def swap_module(ring):
 
 def test_group_ring_z2():
     g = catalog("cyclic", {"ell": 2, "k": 1})
-    gr = group_ring(g, R2)
+    gr = GroupRing(g, R2)
     assert gr.size == 2
     assert gr.eps((1, 1)) == 0
     assert gr.eps((1, 0)) == 1
@@ -60,7 +60,7 @@ def test_group_ring_z2():
 
 def test_group_ring_klein_rank4():
     g = catalog("elementary_abelian", {"ell": 2, "d": 2})
-    gr = group_ring(g, R2)
+    gr = GroupRing(g, R2)
     assert gr.size == 4
     assert gr.d == 2
 
@@ -68,20 +68,20 @@ def test_group_ring_klein_rank4():
 def test_group_ring_rejects_nonfree():
     g = catalog("cyclic", {"ell": 2, "k": 1})
     with pytest.raises(NotFreeModule):
-        group_ring(g, R4)  # Z/2 is not free over Z/4
+        GroupRing(g, R4)  # Z/2 is not free over Z/4
 
 
 # -- ideal powers ----------------------------------------------------------------
 
 
 def test_ideal_square_zero_f2_z2():
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
     assert len(gr.ideal_basis(1)) == 1
     assert len(gr.ideal_basis(2)) == 0  # (sigma - 1)^2 = 0
 
 
 def test_ideal_that_never_vanishes_raises_not_nilpotent(monkeypatch):
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
     i1 = gr.ideal_basis(1)
     monkeypatch.setattr(gr, "ideal_basis", lambda m: i1)
     with pytest.raises(NotNilpotent):
@@ -89,7 +89,7 @@ def test_ideal_that_never_vanishes_raises_not_nilpotent(monkeypatch):
 
 
 def test_ideal_chain_z4_z4():
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 2}), R4)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
     i5 = gr.ideal_basis(5)
     # I^5 = {0, 2N} with N = 1 + s + s^2 + s^3
     assert i5.span_size() == 2
@@ -110,14 +110,14 @@ def test_ideal_first_power_rank():
         ("heisenberg", R3, {"ell": 3}),
     ):
         ext = ext_of(name, ring, params)
-        gr = group_ring(ext.quotient, ring, ext.sigma, ext.coords)
+        gr = GroupRing(ext.quotient, ring, ext.sigma, ext.coords)
         assert len(gr.ideal_basis(1)) == gr.size - 1
 
 
 def test_remark_product_identity():
     # (st - 1) = (s-1)(t-1) + (s-1) + (t-1) in any group ring
     ext = ext_of("wreath_z4_z2", R2)
-    gr = group_ring(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     G = ext.quotient
     for s in G.elements():
         for t in G.elements():
@@ -134,7 +134,7 @@ def test_remark_product_identity():
 
 def test_lambda_1_is_trivial_rank_one():
     ext = ext_of("quaternion8", R2)
-    gr = group_ring(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     lam = lambda_m(gr, 1)
     assert lam.module.orders == (2,)
     assert all(a == ((1,),) for a in lam.module.actions)
@@ -142,7 +142,7 @@ def test_lambda_1_is_trivial_rank_one():
 
 def test_i2_trivial_rank2_f2():
     ext = ext_of("quaternion8", R2)
-    gr = group_ring(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     im = i_m(gr, 2)
     assert sorted(im.module.orders) == [2, 2]
     ident = tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2))
@@ -150,7 +150,7 @@ def test_i2_trivial_rank2_f2():
 
 
 def test_i2_z4_z4_free_rank_one():
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 2}), R4)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
     im = i_m(gr, 2)
     assert im.module.orders == (4,)
 
@@ -158,7 +158,7 @@ def test_i2_z4_z4_free_rank_one():
 def test_lambda_m_splits_off_i_m():
     # eps: Lambda_m -> R is the first coordinate; I_m sits in the rest.
     ext = ext_of("wreath_z4_z2", R2)
-    gr = group_ring(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     for m in (1, 2, 3):
         lam, im = lambda_m(gr, m), i_m(gr, m)
         assert lam.module.orders == (2,) + im.module.orders
@@ -174,7 +174,7 @@ def test_lambda_m_splits_off_i_m():
 
 
 def test_i_m_projection_kernel_is_ideal_power():
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 2}), R4)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
     for m in (1, 2, 3):
         im = i_m(gr, m)
         for row in gr.ideal_basis(m).rows:
@@ -201,7 +201,7 @@ def test_double_dual_identity_catalog():
     ]
     ext = ext_of("wreath_z4_z2", R2)
     mods.append(module_J(ext).module)
-    gr = group_ring(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     mods.append(i_m(gr, 2).module)
     mods.append(regular_module(gr))
     for m in mods:
@@ -236,7 +236,7 @@ def test_invariants_swap_diagonal():
 
 
 def test_invariants_regular_module():
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
     reg = regular_module(gr)
     inv = invariants(reg)
     assert inv.rows == ((1, 1),)  # the norm element 1 + sigma
@@ -333,7 +333,7 @@ def test_socle_trivial_module_stabilizes_at_1():
 
 
 def test_socle_regular_module_z2():
-    gr = group_ring(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
     reg = regular_module(gr)
     chain = socle_series(reg, gr)
     assert chain.stabilization == 2

@@ -12,7 +12,7 @@ from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, WrongLeve
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import vec_reduce
 from soclecoh.obstruction import ObstructionContext
-from soclecoh.zmodlin import RingConfig, zero_basis
+from soclecoh.zmodlin import HowellBasis, RingConfig
 
 R2 = RingConfig(2, 1)
 R3 = RingConfig(3, 1)
@@ -100,7 +100,7 @@ def test_phi_image_outside_socle_level_rejected(monkeypatch):
     phi = ctx.phi_from_gamma(deep[0], 2)
     socle = ctx.em.socle
     # pretend J_1 = 0, so the nonzero image of phi escapes it
-    empty = zero_basis(socle.steps[0].ambient_rank, ctx.ring)
+    empty = HowellBasis(socle.steps[0].ambient_rank, (), ctx.ring)
     monkeypatch.setattr(ctx.em, "socle", replace(socle, steps=(empty,) + socle.steps[1:]))
     with pytest.raises(EquivarianceFailure, match="escaped"):
         ctx.phi_from_matrix(2, phi.matrix)
@@ -358,7 +358,7 @@ def test_d2_injective_on_top_graded_piece():
                 cs = coords_in_basis(sub, scale_vec(moved, im_m.module.orders, ctx.ring))
                 mat.append(tuple(c % oo for c, oo in zip(cs, o)))
             acts.append(tuple(mat))
-        graded = GModule(ctx.ring, o, tuple(acts)) if o else GModule(ctx.ring, (), tuple(() for _ in range(ctx.ext.d)))
+        graded = GModule(ctx.ring, o, tuple(acts))
         gdual = dual(graded)
         act = action_for_quotient_module(ctx.ext, gdual)
         hm, basis = hom_g(em.j.hab, gdual)

@@ -7,22 +7,16 @@ import pytest
 
 from soclecoh.errors import DimensionMismatch
 from soclecoh.zmodlin import (
+    HowellBasis,
     LinearSolver,
     RingConfig,
-    ZMat,
     contains,
     coords_in_basis,
     enumerate_span,
-    full_basis,
-    howell_form,
     howell_form_rows,
-    kernel,
     lex_min_in_coset,
     quotient_orders,
     quotient_presentation,
-    solve,
-    sum_spans,
-    zero_basis,
 )
 
 Z4 = RingConfig(2, 2)
@@ -46,26 +40,22 @@ def brute_span(rows, amb, ring):
     return span
 
 
-def mat(rows, ring):
-    return ZMat.from_rows(rows, len(rows[0]) if rows else 0, ring)
-
-
-# -- howell_form ------------------------------------------------------------
+# -- howell_form_rows -------------------------------------------------------
 
 
 def test_howell_example_z4():
-    h = howell_form(mat([(2, 2), (0, 2)], Z4))
+    h = howell_form_rows([(2, 2), (0, 2)], 2, Z4)
     assert h.rows == ((2, 0), (0, 2))
     assert brute_span([(2, 2), (0, 2)], 2, Z4) == set(enumerate_span(h))
 
 
 def test_howell_identity_is_fixed():
-    h = howell_form(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Z4))
+    h = howell_form_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, Z4)
     assert h.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_howell_zero_matrix():
-    h = howell_form(ZMat.from_rows([(0, 0), (0, 0)], 2, Z4))
+    h = howell_form_rows([(0, 0), (0, 0)], 2, Z4)
     assert h.rows == ()
 
 
@@ -101,8 +91,8 @@ def test_span_preservation_oracle():
 
 def test_howell_canonical_across_generating_sets():
     # Same submodule from different generators yields identical bases.
-    h1 = howell_form(mat([(2, 2), (0, 2)], Z4))
-    h2 = howell_form(mat([(2, 0), (2, 2)], Z4))
+    h1 = howell_form_rows([(2, 2), (0, 2)], 2, Z4)
+    h2 = howell_form_rows([(2, 0), (2, 2)], 2, Z4)
     assert h1 == h2
 
 
@@ -125,11 +115,10 @@ def test_dict_and_bit_engines_agree_mod2():
 
 
 def test_solve_examples():
-    a = mat([(2,)], Z4)
-    assert solve(a, (2,)) == (1,)
-    assert solve(a, (1,)) is None
-    ident = mat([(1, 0), (0, 1)], Z4)
-    assert solve(ident, (3, 2)) == (3, 2)
+    a = LinearSolver([(2,)], 1, Z4)
+    assert a.solve((2,)) == (1,)
+    assert a.solve((1,)) is None
+    assert LinearSolver([(1, 0), (0, 1)], 2, Z4).solve((3, 2)) == (3, 2)
 
 
 def test_solve_brute_force_oracle():
@@ -139,7 +128,6 @@ def test_solve_brute_force_oracle():
         for _ in range(80):
             nr, nc = rng.randint(1, 3), rng.randint(1, 3)
             rows = [tuple(rng.randrange(q) for _ in range(nc)) for _ in range(nr)]
-            a = mat(rows, ring)
             b = tuple(rng.randrange(q) for _ in range(nc))
             sols = []
             for x in product(range(q), repeat=nr):
@@ -149,7 +137,7 @@ def test_solve_brute_force_oracle():
                         y[j] = (y[j] + xi * v) % q
                 if tuple(y) == b:
                     sols.append(x)
-            got = solve(a, b)
+            got = LinearSolver(rows, nc, ring).solve(b)
             if sols:
                 assert got == min(sols)  # canonical: lexicographically least
             else:
@@ -165,21 +153,30 @@ def test_solve_contains_consistency():
             rows = [tuple(rng.randrange(q) for _ in range(nc)) for _ in range(nr)]
             b = tuple(rng.randrange(q) for _ in range(nc))
             image = howell_form_rows(rows, nc, ring)
-            assert (solve(mat(rows, ring), b) is not None) == contains(image, b)
+            assert (LinearSolver(rows, nc, ring).solve(b) is not None) == contains(image, b)
 
 
 def test_solve_dimension_mismatch():
+    # a dense right-hand side or row of the wrong length is refused
     with pytest.raises(DimensionMismatch):
-        solve(mat([(1, 2)], Z4), (1, 2, 3))
+        LinearSolver([(1, 2)], 2, Z4).solve((1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        LinearSolver([(1, 2)], 2, Z2).solve((1,))
+    with pytest.raises(DimensionMismatch):
+        LinearSolver([(1, 2), (1, 2, 3)], 2, Z4)
+    with pytest.raises(DimensionMismatch):
+        howell_form_rows([(1, 2, 3)], 2, Z4)
+    with pytest.raises(DimensionMismatch):
+        contains(howell_form_rows([(2, 0)], 2, Z4), (2,))
 
 
 # -- kernel ------------------------------------------------------------------
 
 
 def test_kernel_examples():
-    assert kernel(mat([(2,)], Z4)).rows == ((2,),)
-    assert kernel(mat([(1,)], Z4)).rows == ()
-    assert kernel(mat([(0,)], Z4)).rows == ((1,),)
+    assert LinearSolver([(2,)], 1, Z4).kernel_row_tuples() == ((2,),)
+    assert LinearSolver([(1,)], 1, Z4).kernel_row_tuples() == ()
+    assert LinearSolver([(0,)], 1, Z4).kernel_row_tuples() == ((1,),)
 
 
 def test_kernel_brute_force_oracle():
@@ -189,7 +186,7 @@ def test_kernel_brute_force_oracle():
         for _ in range(60):
             nr, nc = rng.randint(1, 3), rng.randint(1, 3)
             rows = [tuple(rng.randrange(q) for _ in range(nc)) for _ in range(nr)]
-            k = kernel(mat(rows, ring))
+            k = HowellBasis(nr, LinearSolver(rows, nc, ring).kernel_row_tuples(), ring)
             want = set()
             for x in product(range(q), repeat=nr):
                 y = [0] * nc
@@ -205,10 +202,10 @@ def test_kernel_brute_force_oracle():
 
 
 def test_contains_examples():
-    h = howell_form(mat([(2, 0), (0, 2)], Z4))
+    h = howell_form_rows([(2, 0), (0, 2)], 2, Z4)
     assert contains(h, (2, 2))
     assert contains(h, (0, 0))
-    assert not contains(howell_form(mat([(2,)], Z4)), (1,))
+    assert not contains(howell_form_rows([(2,)], 1, Z4), (1,))
 
 
 def test_coords_in_basis_roundtrip():
@@ -236,8 +233,8 @@ def test_coords_in_basis_roundtrip():
 
 
 def test_coords_in_basis_non_member():
-    assert coords_in_basis(howell_form(mat([(2, 0)], Z4)), (1, 0)) is None
-    assert coords_in_basis(howell_form(mat([(2, 0)], Z4)), (2, 1)) is None
+    assert coords_in_basis(howell_form_rows([(2, 0)], 2, Z4), (1, 0)) is None
+    assert coords_in_basis(howell_form_rows([(2, 0)], 2, Z4), (2, 1)) is None
     rng = random.Random(8)
     for ring in (Z4, Z9, Z2):
         q = ring.modulus
@@ -254,14 +251,14 @@ def test_coords_in_basis_non_member():
 
 
 def test_quotient_zero_submodule():
-    qp = quotient_presentation(zero_basis(2, Z4))
+    qp = quotient_presentation(HowellBasis(2, (), Z4))
     assert qp.orders == (4, 4)
     assert qp.project_vec((1, 2)) == (1, 2)
     assert qp.section_vec((1, 2)) == (1, 2)
 
 
 def test_quotient_example_2_4():
-    sub = howell_form(mat([(2, 0)], Z4))
+    sub = howell_form_rows([(2, 0)], 2, Z4)
     qp = quotient_presentation(sub)
     assert qp.orders == (2, 4)
     # brute-force coset count
@@ -274,13 +271,13 @@ def test_quotient_example_2_4():
 
 
 def test_quotient_full_module():
-    qp = quotient_presentation(full_basis(3, Z4))
+    qp = quotient_presentation(howell_form_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, Z4))
     assert qp.orders == ()
 
 
 def test_quotient_nonsplit_coordinates():
     # span{(2,1)} in (Z/4)^2 has a Z/4 quotient, not Z/2 x Z/2.
-    sub = howell_form(mat([(2, 1)], Z4))
+    sub = howell_form_rows([(2, 1)], 2, Z4)
     qp = quotient_presentation(sub)
     assert tuple(sorted(qp.orders)) == (4,)
 
@@ -315,10 +312,10 @@ def test_quotient_presentation_properties_random():
 
 
 def test_quotient_orders_counting():
-    u = full_basis(2, Z4)
-    v = howell_form(mat([(2, 1)], Z4))
+    u = howell_form_rows([(1, 0), (0, 1)], 2, Z4)
+    v = howell_form_rows([(2, 1)], 2, Z4)
     assert quotient_orders(u, v) == (4,)
-    v2 = howell_form(mat([(2, 0)], Z4))
+    v2 = howell_form_rows([(2, 0)], 2, Z4)
     assert tuple(sorted(quotient_orders(u, v2), reverse=True)) == (4, 2)
     assert quotient_orders(u, u) == ()
 
@@ -327,13 +324,13 @@ def test_quotient_orders_counting():
 
 
 def test_sum_spans():
-    a = howell_form(mat([(2, 0)], Z4))
-    b = howell_form(mat([(0, 2)], Z4))
-    assert sum_spans(a, b) == howell_form(mat([(2, 0), (0, 2)], Z4))
+    a = howell_form_rows([(2, 0)], 2, Z4)
+    b = howell_form_rows([(0, 2)], 2, Z4)
+    assert howell_form_rows(a.rows + b.rows, 2, Z4) == howell_form_rows([(2, 0), (0, 2)], 2, Z4)
 
 
 def test_lex_min_in_coset():
-    basis = howell_form(mat([(2, 0)], Z4))
+    basis = howell_form_rows([(2, 0)], 2, Z4)
     assert lex_min_in_coset((3, 1), basis) == (1, 1)
     assert lex_min_in_coset((0, 0), basis) == (0, 0)
     # oracle: the least element of v + span(B), enumerated
@@ -355,10 +352,16 @@ def test_lex_min_in_coset():
 
 
 def test_linear_solver_kernel_matches_kernel():
+    # both halves of the [A | I] elimination are canonical Howell bases: the
+    # image of A, and the kernel found by brute force
     rows = [(2, 2), (0, 2), (1, 3)]
     s = LinearSolver(rows, 2, Z4)
-    assert s.kernel_row_tuples() == kernel(mat(rows, Z4)).rows
-    assert s.image_row_tuples() == howell_form(mat(rows, Z4)).rows
+    ker = [
+        x for x in product(range(4), repeat=3)
+        if all(sum(xi * r[j] for xi, r in zip(x, rows)) % 4 == 0 for j in range(2))
+    ]
+    assert s.kernel_row_tuples() == howell_form_rows(ker, 3, Z4).rows
+    assert s.image_row_tuples() == howell_form_rows(rows, 2, Z4).rows
 
 
 def test_ring_config_validation():
