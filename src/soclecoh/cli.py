@@ -35,7 +35,7 @@ from .errors import (
 )
 from .cohomology import DEFAULT_H2_MAX_ORDER, inflation_h2_surjective
 from .fingroup import catalog, group_from_json, make_extension
-from .obstruction import ObstructionContext
+from .obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext
 from .zmodlin import RingConfig, span_orders
 
 EXIT_OK = 0
@@ -115,6 +115,14 @@ def _context(args) -> ObstructionContext:
     return ObstructionContext(ext, label=label, h2_max_order=args.max_order)
 
 
+def _check_count(flag, count):
+    """A phi count is checked before any group or module is built."""
+    if count < 1:
+        raise ValueError(f"{flag} needs a count >= 1, got {count}")
+    if count > DEFAULT_HOM_ENUM_BOUND:
+        raise SizeBound(f"{flag} count", DEFAULT_HOM_ENUM_BOUND, count)
+
+
 def _cochain_dump(c):
     entries = []
     for tup in sorted(c.values):
@@ -189,6 +197,8 @@ def _phi_records(ctx, args):
 
 
 def cmd_obstruction(args) -> int:
+    if args.random is not None:
+        _check_count("--random", args.random)
     ctx = _context(args)
     want_routes = args.routes
     records = []
@@ -249,13 +259,14 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx = _context(args)
     if args.exhaustive or args.samples is None:
         mode = ("exhaustive",)
     else:
         if args.seed is None:
             raise ValueError("--samples needs --seed")
+        _check_count("--samples", args.samples)
         mode = ("sampled", args.seed, args.samples)
+    ctx = _context(args)
     report = ctx.verify_theorem(args.m, mode=mode)
     report["command"] = "verify"
 

@@ -210,6 +210,8 @@ class CochainComplex:
         self.action = action
         self.n1 = action.group.order - 1
         self.t = action.module.rank
+        ident = action.group.identity
+        self.nonid = tuple(g for g in action.group.elements() if g != ident)
         self._solvers = {}
 
     def grid(self, k: int) -> int:
@@ -225,9 +227,7 @@ class CochainComplex:
         return idx
 
     def basis_tuples(self, k: int):
-        ident = self.action.group.identity
-        nonid = [g for g in self.action.group.elements() if g != ident]
-        return product(nonid, repeat=k)
+        return product(self.nonid, repeat=k)
 
     def flat(self, f: Cochain):
         """Scaled vector of a cochain over the C^degree basis."""
@@ -251,25 +251,40 @@ class CochainComplex:
                 values[tup] = vec
         return Cochain(self.action, k, values)
 
-    def diff_rows(self, k: int):
-        """Sparse rows of d: C^k -> C^{k+1} in scaled coordinates."""
-        units = mat_identity(self.action.module.orders)
-        return [
-            self.flat(differential(Cochain(self.action, k, {tup: unit})))
-            for tup in self.basis_tuples(k)
-            for unit in units
-        ]
+    def _matrix(self, k: int, last: tuple) -> LinearSolver:
+        """Howell solver for d: C^k -> C^{k+1} cut, row by row as differential
+        yields it, to the columns whose last argument lies in last.  The bound
+        counts the entries differential yields before any row is built."""
+        key = (k, last)
+        if key not in self._solvers:
+            entries = self.dim(k) * (k + 2) * self.n1 * self.t
+            if entries > DEFAULT_RANK_CELLS:
+                cut = "" if len(last) == self.n1 else "generator-restricted "
+                what = f"{cut}degree-{k} differential matrix (estimated entries)"
+                raise SizeBound(what, DEFAULT_RANK_CELLS, entries)
+            ring = self.action.module.ring
+            units = mat_identity(self.action.module.orders)
+            scale = [ring.modulus // o for o in self.action.module.orders]
+            slot = {g: i for i, g in enumerate(last)}
+            rows = []
+            for tup in self.basis_tuples(k):
+                for unit in units:
+                    row = {}
+                    df = differential(Cochain(self.action, k, {tup: unit}))
+                    for out, vec in df.values.items():
+                        i = slot.get(out[-1])
+                        if i is not None:
+                            base = (self.tuple_index(out[:-1]) * len(last) + i) * self.t
+                            for j, v in enumerate(vec):
+                                if v:
+                                    row[base + j] = v * scale[j] % ring.modulus
+                    rows.append(row)
+            self._solvers[key] = LinearSolver(rows, self.grid(k) * len(last) * self.t, ring)
+        return self._solvers[key]
 
     def solver(self, k: int) -> LinearSolver:
         """Howell solver for d: C^k -> C^{k+1} (image, kernel, witnesses)."""
-        if k not in self._solvers:
-            cells = self.dim(k) + self.dim(k + 1)
-            if cells > DEFAULT_RANK_CELLS:
-                raise SizeBound(f"cochain complex degree {k}", DEFAULT_RANK_CELLS, cells)
-            self._solvers[k] = LinearSolver(
-                self.diff_rows(k), self.dim(k + 1), self.action.module.ring
-            )
-        return self._solvers[k]
+        return self._matrix(k, self.nonid)
 
     def coboundary_witness(self, f: Cochain):
         """Canonical w with dw = f, or None; f must be a cocycle."""
@@ -283,45 +298,20 @@ class CochainComplex:
             return None
         return self.unflat(x, f.degree - 1)
 
-    def _generator_cocycle_solver(self) -> LinearSolver:
-        """Howell solver for d: C^2 -> C^3 cut to the columns (x, y, s), s a generator.
-
-        Its kernel is Z^2.  In the extension twisted by a normalized 2-cochain
-        f, the elements w with (uv)w = u(vw) for all u, v are closed under
-        products and contain the module, so f is a cocycle as soon as the
-        cocycle identity holds for every last argument in a generating set
-        (Light's associativity test).
-        """
-        gens = self.action.group.generators
-        slot = {s - 1: i for i, s in enumerate(gens)}
-        ncols = self.grid(2) * len(gens) * self.t
-        cells = self.dim(2) + ncols
-        if cells > DEFAULT_RANK_CELLS:
-            raise SizeBound("generator-restricted degree-2 cocycle matrix", DEFAULT_RANK_CELLS, cells)
-        rows = []
-        for row in self.diff_rows(2):
-            cut = {}
-            for c, v in row.items():
-                tup, j = divmod(c, self.t)
-                head, last = divmod(tup, self.n1)
-                i = slot.get(last)
-                if i is not None:
-                    cut[(head * len(gens) + i) * self.t + j] = v
-            rows.append(cut)
-        return LinearSolver(rows, ncols, self.action.module.ring)
-
     def cocycle_basis(self, k: int) -> HowellBasis:
-        """Scaled basis of Z^k inside the flat coordinate space."""
+        """Scaled basis of Z^k: the kernel of d cut to generator last arguments.
+
+        For F = df, dF(g_1..g_k, x, y) = 0 reduces to F(g_1..g_k, xy) = 0 once F
+        vanishes at the last arguments x and y, so those close under products.
+        """
         q = self.action.module.ring.modulus
         orders = self.action.module.orders
-        s = self._generator_cocycle_solver() if k == 2 else self.solver(k)
-        ring = self.action.module.ring
-        scaled = []
-        for row in s.kernel_row_tuples():
-            scaled.append(
-                tuple(v * (q // orders[i % self.t]) % q for i, v in enumerate(row))
-            )
-        return howell_form_rows(scaled, self.dim(k), ring)
+        s = self._matrix(k, self.action.group.generators)
+        scaled = [
+            tuple(v * (q // orders[i % self.t]) % q for i, v in enumerate(row))
+            for row in s.kernel_row_tuples()
+        ]
+        return howell_form_rows(scaled, self.dim(k), self.action.module.ring)
 
     def coboundary_basis(self, k: int) -> HowellBasis:
         """Scaled basis of B^k (image of d from degree k-1)."""

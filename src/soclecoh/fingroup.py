@@ -521,6 +521,9 @@ def from_class2_presentation(d, ring: RingConfig, commutators, powers, central_o
             raise InconsistentPresentation(f"commutator index ({i},{j}) not i<j<d")
         comm_map[(i, j)] = tuple(w)
     powers = [tuple(p) for p in powers]
+    for w in [*comm_map.values(), *powers]:
+        if any(type(v) is not int for v in w):
+            raise InconsistentPresentation(f"central word {list(w)} has a non-integer entry")
     if len(powers) != d:
         raise InconsistentPresentation(f"need {d} power words, got {len(powers)}")
     widths = {len(w) for w in comm_map.values()} | {len(p) for p in powers}
@@ -736,7 +739,10 @@ def group_from_json(obj, ell=None) -> FinGroup:
         return from_cayley_table(obj["cayley"], obj.get("generators", []), ell=ell)
     if "class2" in obj:
         spec = obj["class2"]
-        ring = RingConfig(int(spec["ell"]), int(spec["n"]))
+        for key in ("d", "ell", "n"):
+            if type(spec[key]) is not int:
+                raise InconsistentPresentation(f"class2 {key} {spec[key]!r} is not an integer")
+        ring = RingConfig(spec["ell"], spec["n"])
         comms = spec.get("commutators", {})
         if isinstance(comms, dict):
             comms = {
@@ -744,7 +750,7 @@ def group_from_json(obj, ell=None) -> FinGroup:
                 for key, val in comms.items()
             }
         return from_class2_presentation(
-            int(spec["d"]), ring, comms, spec.get("powers", []),
+            spec["d"], ring, comms, spec.get("powers", []),
             central_orders=spec.get("central_orders"),
         )
     if "catalog" in obj:

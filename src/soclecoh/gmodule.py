@@ -549,11 +549,11 @@ def i_m(gr: GroupRing, m: int) -> QuotientModule:
     return QuotientModule(amb, orders, qp.project, qp.section, ring, module)
 
 
-def lambda_m(gr: GroupRing, m: int) -> QuotientModule:
-    """Lambda/I^m = R . 1  (+)  I_m, coordinates (eps part, I_m part)."""
+def lambda_m(gr: GroupRing, im: QuotientModule) -> QuotientModule:
+    """Lambda/I^m = R . 1  (+)  I_m, coordinates (eps part, I_m part), built on
+    the I_m = i_m(gr, m) it extends."""
     ring = gr.ring
     q = ring.modulus
-    im = i_m(gr, m)
     orders = (q,) + im.module.orders
     actions = []
     for si, s in enumerate(gr.sigma):
@@ -739,7 +739,7 @@ class ExtensionModules:
 
     def lambda_m(self, m: int) -> QuotientModule:
         if m not in self._lam:
-            self._lam[m] = lambda_m(self.gr, m)
+            self._lam[m] = lambda_m(self.gr, self.i_m(m))
         return self._lam[m]
 
     def lift_actions(self, m: int):

@@ -235,6 +235,14 @@ JSON_TYPE_HOLES = {
         {"class2": {"d": 1, "ell": 2, "n": 1, "powers": [[1]], "central_orders": [True]}},
         "central order True is not an integer",
     ),
+    "float_class2_fields": (
+        {"class2": {"d": 1.9, "ell": 2.7, "n": 1.2, "powers": [[1]], "central_orders": [2]}},
+        "class2 d 1.9 is not an integer",
+    ),
+    "bool_power_word": (
+        {"class2": {"d": 1, "ell": 2, "n": 1, "powers": [[True]], "central_orders": [2]}},
+        "central word [True] has a non-integer entry",
+    ),
 }
 
 
@@ -260,6 +268,40 @@ def test_order_512_group_builds_quickly():
     assert "Traceback" not in proc.stderr
     assert elapsed < 5
     assert json.loads(proc.stdout)["order"] == 512
+
+
+_Q8 = ("--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2", "--seed", "1")
+
+# Phi counts are checked before the group is built: below 1 is an input
+# error, above the Hom_G enumeration bound a size bound.
+PHI_COUNTS = {
+    "random_negative": (("obstruction", *_Q8, "--random", "-1"), 2, "--random needs a count >= 1"),
+    "random_huge": (("obstruction", *_Q8, "--random", "100000000"), 4, "limit 4096, got 100000000"),
+    "samples_zero": (("verify", *_Q8, "--samples", "0"), 2, "--samples needs a count >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHI_COUNTS))
+def test_phi_count_bounds(case):
+    argv, code, reason = PHI_COUNTS[case]
+    proc, elapsed = run_process(*argv)
+    assert proc.returncode == code
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
+
+
+def test_order_512_h2_check_refused_quickly():
+    # the cut degree-2 matrix of an order-512 group is refused by its entry
+    # estimate before any row is built
+    proc, elapsed = run_process(
+        "hypothesis", "--catalog", "free_class2", "--params", "d=3", "--ell", "2", "--n", "1",
+        "--max-order", "512",
+    )
+    assert proc.returncode == 4
+    assert "generator-restricted degree-2 differential matrix" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
 
 
 def test_phi_file_happy_path(capsys, tmp_path):

@@ -270,18 +270,18 @@ def test_rank_size_bound(monkeypatch):
         cohomology_rank(act, 3)
 
 
-# -- Z^2 from the cocycle identity on generators ----------------------------------
+# -- Z^k from the cocycle identity on generators ----------------------------------
 
 
-def full_bar_z2(cc):
-    """Oracle: Z^2 as the kernel of the whole d: C^2 -> C^3, scaled and Howell-formed."""
+def full_bar_z(cc, k):
+    """Oracle: Z^k as the kernel of the whole d: C^k -> C^{k+1}, scaled and Howell-formed."""
     q = cc.action.module.ring.modulus
     orders = cc.action.module.orders
     scaled = [
         tuple(v * (q // orders[i % cc.t]) % q for i, v in enumerate(row))
-        for row in cc.solver(2).kernel_row_tuples()
+        for row in cc.solver(k).kernel_row_tuples()
     ]
-    return howell_form_rows(scaled, cc.dim(2), cc.action.module.ring)
+    return howell_form_rows(scaled, cc.dim(k), cc.action.module.ring)
 
 
 # Every named catalog group of order <= 32 and a member of each parameterized
@@ -310,33 +310,51 @@ Z2_TRIVIAL_CASES = [
     ("unitriangular3", {"ell": 2, "n": 1}, R4),
 ]
 
+# Degree 2 on every case above; degrees 0, 1 and 3 on those of order <= 8,
+# where the degree-3 full bar is a 343 x 2401 matrix per module coordinate.
+ZK_TRIVIAL_CASES = [(*case, 2) for case in Z2_TRIVIAL_CASES] + [
+    (*case, k)
+    for case in Z2_TRIVIAL_CASES
+    if case[0] != "mixer32" and catalog(*case[:2]).order <= 8
+    for k in (0, 1, 3)
+]
+
+
+def zk_case_id(name, params, ring, k):
+    parts = [name, *(f"-{key}={v}" for key, v in (params or {}).items()), f"-q{ring.modulus}"]
+    return "".join(parts).replace(" ", "") + ("" if k == 2 else f"-Z{k}")
+
 
 @pytest.mark.parametrize(
-    "name, params, ring",
-    Z2_TRIVIAL_CASES,
-    ids=[
-        "".join([n, *(f"-{k}={v}" for k, v in (p or {}).items()), f"-q{r.modulus}"]).replace(" ", "")
-        for n, p, r in Z2_TRIVIAL_CASES
-    ],
+    "name, params, ring, k", ZK_TRIVIAL_CASES, ids=[zk_case_id(*c) for c in ZK_TRIVIAL_CASES]
 )
-def test_z2_generator_route_matches_full_bar(name, params, ring):
+def test_z2_generator_route_matches_full_bar(name, params, ring, k):
     g = mixer32() if name == "mixer32" else catalog(name, params)
     cc = CochainComplex(CoeffAction.trivial(g, ring))
-    assert cc.cocycle_basis(2) == full_bar_z2(cc)
+    assert cc.cocycle_basis(k) == full_bar_z(cc, k)
 
 
 def test_z2_generator_route_matches_full_bar_nontrivial_module():
+    # I/I^2 of unitriangular3(2,2) in degree 2, then J of mixer32 (rank 3, a
+    # nontrivial action of the Klein group) in degrees 0 to 3
     ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4)
-    em = ExtensionModules(ext)
-    cc = CochainComplex(action_for_quotient_module(ext, em.i_m(2).module))
-    assert cc.cocycle_basis(2) == full_bar_z2(cc)
+    cc = CochainComplex(action_for_quotient_module(ext, ExtensionModules(ext).i_m(2).module))
+    assert cc.cocycle_basis(2) == full_bar_z(cc, 2)
+    ext = make_extension(mixer32(), R2)
+    cc = CochainComplex(action_for_quotient_module(ext, ExtensionModules(ext).j.module))
+    for k in (0, 1, 2, 3):
+        assert cc.cocycle_basis(k) == full_bar_z(cc, k), k
 
 
 def test_z2_size_bound(monkeypatch):
     monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 50)
     cc = CochainComplex(trivial_action("quaternion8", R2))
-    with pytest.raises(SizeBound, match="generator-restricted"):
+    # the estimate is 7^2 rows of at most 4 faces x 7 entries, for either matrix
+    with pytest.raises(SizeBound, match="generator-restricted degree-2 differential"):
         cc.cocycle_basis(2)
+    full = r"^size bound exceeded for degree-2 differential matrix \(estimated entries\)"
+    with pytest.raises(SizeBound, match=full + ": limit 50, got 1372$"):
+        cc.solver(2)
 
 
 # -- cup products ---------------------------------------------------------------

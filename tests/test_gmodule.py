@@ -135,7 +135,7 @@ def test_remark_product_identity():
 def test_lambda_1_is_trivial_rank_one():
     ext = ext_of("quaternion8", R2)
     gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
-    lam = lambda_m(gr, 1)
+    lam = lambda_m(gr, i_m(gr, 1))
     assert lam.module.orders == (2,)
     assert all(a == ((1,),) for a in lam.module.actions)
 
@@ -160,7 +160,8 @@ def test_lambda_m_splits_off_i_m():
     ext = ext_of("wreath_z4_z2", R2)
     gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     for m in (1, 2, 3):
-        lam, im = lambda_m(gr, m), i_m(gr, m)
+        im = i_m(gr, m)
+        lam = lambda_m(gr, im)
         assert lam.module.orders == (2,) + im.module.orders
         one = lam.project_vec(tuple(1 if g == 0 else 0 for g in range(gr.size)))
         assert one == (1,) + (0,) * im.module.rank

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from helpers import mixer32
+from soclecoh import gmodule
 from soclecoh.cohomology import CochainComplex, cup, is_cocycle, multiplication_pairing
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, WrongLevel
 from soclecoh.fingroup import catalog, make_extension
@@ -107,6 +108,23 @@ def test_phi_image_outside_socle_level_rejected(monkeypatch):
 
 
 # -- route A -------------------------------------------------------------------
+
+
+def test_i_m_built_once_per_level(monkeypatch):
+    # Lambda_m extends the cached I_m instead of building its own
+    calls = []
+
+    def counted(gr, m):
+        calls.append(m)
+        return build(gr, m)
+
+    build = gmodule.i_m
+    monkeypatch.setattr(gmodule, "i_m", counted)
+    ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4)
+    ctx = ObstructionContext(ext)
+    for phi in ctx.random_phi(2, random.Random(3), 3):
+        ctx.psi_generic(phi)
+    assert calls == [2]
 
 
 def test_psi_zero_map():
