@@ -199,6 +199,8 @@ def _phi_records(ctx, args):
 def cmd_obstruction(args) -> int:
     if args.random is not None:
         _check_count("--random", args.random)
+    elif args.seed is not None:
+        raise ValueError("--seed needs --random")
     ctx = _context(args)
     want_routes = args.routes
     records = []
@@ -259,7 +261,7 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.exhaustive or args.samples is None:
+    if args.samples is None:
         mode = ("exhaustive",)
     else:
         if args.seed is None:
@@ -356,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check both directions of the main equivalence")
     common(sp, with_m=True)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=int, help="sampled mode: number of draws")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--samples", type=int, help="sampled mode: number of draws")
     sp.add_argument("--seed", type=int, help="sampled mode seed")
     sp.set_defaults(func=cmd_verify)
 

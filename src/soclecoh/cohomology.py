@@ -11,6 +11,8 @@ and is evaluated support-driven, so sparse cochains stay cheap.  Coboundary
 tests are canonical solves against the previous differential's matrix; the
 solver matrices live in the "coefficient" space of zmodlin (each target
 coordinate scaled by l^n/order) so one Howell engine serves all modules.
+The H^2 hypothesis check builds no bar matrix: it works in homology, on the
+cycle space of a Cayley graph (inflation_h2_surjective).
 """
 
 from __future__ import annotations
@@ -254,10 +256,12 @@ class CochainComplex:
     def _matrix(self, k: int, last: tuple) -> LinearSolver:
         """Howell solver for d: C^k -> C^{k+1} cut, row by row as differential
         yields it, to the columns whose last argument lies in last.  The bound
-        counts the entries differential yields before any row is built."""
+        counts the entries differential yields before any row is built: per
+        row, t coordinates for each first face g.f(..), one for the last face
+        and one for each of the k inner faces."""
         key = (k, last)
         if key not in self._solvers:
-            entries = self.dim(k) * (k + 2) * self.n1 * self.t
+            entries = self.dim(k) * self.n1 * (self.t + k + 1)
             if entries > DEFAULT_RANK_CELLS:
                 cut = "" if len(last) == self.n1 else "generator-restricted "
                 what = f"{cut}degree-{k} differential matrix (estimated entries)"
@@ -608,30 +612,128 @@ def d2_on_E01(ec: ExtensionCocycle, x_matrix, target: CoeffAction) -> Cochain:
     return coc
 
 
+# ---------------------------------------------------------------------------
+# The H^2 hypothesis on the relation module.
+# ---------------------------------------------------------------------------
+
+
+class _CayleyCycles:
+    """The cycle space K of the Cayley graph of a group on a generator list.
+
+    Edge x·|S| + i runs from x to x·S[i], so the Fox map x·e_i |-> x·S[i] - x
+    is the graph's boundary map, and its kernel over Z/q, the relation module
+    R_ab/q, is K.  With P(x) the path from the identity to x in a BFS
+    spanning tree, the fundamental cycles c_e = e + P(x) - P(x·S[i]) of the
+    non-tree edges e = (x, i) are a basis of K, and a cycle's coordinates over
+    them are its values on the non-tree edges: no elimination.
+    """
+
+    def __init__(self, group: FinGroup, gens: tuple, ring: RingConfig):
+        self.group, self.gens, self.ring = group, gens, ring
+        self.m = m = len(gens)
+        paths = {group.identity: {}}
+        queue = [group.identity]
+        for x in queue:
+            for i, s in enumerate(gens):
+                back = group.mul(x, group.inv(s))
+                for y, edge, sign in ((group.mul(x, s), x * m + i, 1), (back, back * m + i, -1)):
+                    if y not in paths:
+                        paths[y] = {**paths[x], edge: sign}
+                        queue.append(y)
+        self.paths = paths
+        self.depth = max(len(p) for p in paths.values())
+        tree = {e for p in paths.values() for e in p}
+        self.index = {e: j for j, e in enumerate(e for e in range(group.order * m) if e not in tree)}
+
+    def cycles(self):
+        """c_e for every non-tree edge e, in coordinate order, as {edge: coefficient}."""
+        out = []
+        for e in self.index:
+            x, i = divmod(e, self.m)
+            c = {**self.paths[x], e: 1}
+            for f, v in self.paths[self.group.mul(x, self.gens[i])].items():
+                c[f] = c.get(f, 0) - v
+            out.append({f: v for f, v in c.items() if v})
+        return out
+
+    def coords(self, pairs) -> dict:
+        """Coordinates of the cycle sum v·edge over the (edge, v) pairs."""
+        out = {}
+        for e, v in pairs:
+            j = self.index.get(e)
+            if j is not None:
+                out[j] = (out.get(j, 0) + v) % self.ring.modulus
+        return out
+
+    def boundaries(self, cycles) -> HowellBasis:
+        """Howell basis of I·K = sum_s (s-1)K, spanned by the s.c_e - c_e.
+
+        The augmentation ideal I is sum_s (s-1)Z[g] as a right ideal, since
+        ab - 1 = (a-1)b + (b-1); so I·K = sum_s (s-1)K, s acting on K by left
+        translation of edges.
+        """
+        m, mul = self.m, self.group.mul
+        rows = []
+        for s in self.gens:
+            for j, c in enumerate(cycles):
+                row = self.coords((mul(s, f // m) * m + f % m, v) for f, v in c.items())
+                row[j] = row.get(j, 0) - 1
+                rows.append(row)
+        return howell_form_rows(rows, len(self.index), self.ring)
+
+
 def inflation_h2_surjective(ext: ExtensionData, max_order: int = DEFAULT_H2_MAX_ORDER):
     """Does every degree-2 class of the total group inflate from the quotient?
 
-    Returns (holds, diagnostics): spans are compared inside Z^2 of the total
-    group; dims count cyclic invariant factors (= F_l dimension when n = 1).
+    Decided on the relation module K = R_ab/q of g on S = g.generators, with
+    q = l^n: H_2(g; Z/q) = (K ∩ ker eps) / sum_s (s-1)K, where eps sums each
+    e_s block.  Z/q is self-injective, so H^2(g; Z/q) = Hom(H_2(g; Z/q), Z/q),
+    and inflation from G is dual to pi_*: H_2(g) -> H_2(G), G presented on
+    pi(S).  Returns (holds, diagnostics): the invariant factors of H_2(g) and
+    of pi_*(H_2(g)), which are those of H^2(g) and of the inflated classes;
+    holds exactly when pi_* is injective.  dims count cyclic invariant
+    factors (= F_l dimension when n = 1).
     """
     g = ext.total
     if g.order > max_order:
         raise SizeBound("total group order for the H^2 check", max_order, g.order)
     ring = ext.ring
-    big = CochainComplex(CoeffAction.trivial(g, ring))
-    small = CochainComplex(CoeffAction.trivial(ext.quotient, ring))
-    z_big = big.cocycle_basis(2)
-    b_big = big.coboundary_basis(2)
-    inflated = []
-    for row in small.cocycle_basis(2).rows:
-        f = small.unflat(row, 2)
-        lifted = inflation(g, ext.projection, f)
-        flat = big.flat(lifted)
-        inflated.append(tuple(flat.get(i, 0) for i in range(big.dim(2))))
-    b_plus = howell_form_rows(list(b_big.rows) + inflated, big.dim(2), ring)
-    holds = b_plus == z_big
-    h2 = quotient_orders(z_big, b_big)
-    infl = quotient_orders(b_plus, b_big)
+    gens = g.generators
+    m = len(gens)
+    big = _CayleyCycles(g, gens, ring)
+    # a boundary row is the difference of two cycles of at most 2·depth + 1 edges
+    nnz = m * len(big.index) * 2 * (2 * big.depth + 1)
+    if nnz > DEFAULT_RANK_CELLS:
+        what = "relation-module boundary matrix (estimated nonzeros)"
+        raise SizeBound(what, DEFAULT_RANK_CELLS, nnz)
+    cycles = big.cycles()
+    eps_rows = []
+    for c in cycles:
+        row = [0] * m
+        for f, v in c.items():
+            row[f % m] += v
+        eps_rows.append(row)
+    eps = LinearSolver(eps_rows, m, ring)
+    z = howell_form_rows(eps.kernel_row_tuples(), len(big.index), ring)
+    b = big.boundaries(cycles)
+    h2 = quotient_orders(z, b)
+
+    proj = ext.projection
+    small = _CayleyCycles(ext.quotient, tuple(proj[s] for s in gens), ring)
+    pushed = [small.coords((proj[f // m] * m + f % m, v) for f, v in c.items()) for c in cycles]
+    image = []
+    for row in z.rows:
+        acc = {}
+        for j, a in enumerate(row):
+            if a:
+                for k, v in pushed[j].items():
+                    acc[k] = acc.get(k, 0) + a * v
+        image.append(acc)
+    b_small = small.boundaries(small.cycles())
+    infl = quotient_orders(
+        howell_form_rows(list(b_small.rows) + image, len(small.index), ring), b_small
+    )
+    holds = infl == h2
     return holds, {
         "holds": holds,
         "h2_total_dim": len(h2),

@@ -731,14 +731,36 @@ def catalog(name: str, params=None) -> FinGroup:
     raise UnknownCatalogEntry(f"unknown catalog group {name!r}")
 
 
+# The documented group JSON shapes: the keys each allows beside its own.
+_GROUP_JSON_KEYS = {
+    "cayley": ("cayley", "generators"),
+    "class2": ("class2",),
+    "catalog": ("catalog", "params"),
+}
+_CLASS2_JSON_KEYS = ("d", "ell", "n", "commutators", "powers", "central_orders")
+
+
+def _check_keys(obj, allowed, where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
 def group_from_json(obj, ell=None) -> FinGroup:
     """Parse the group JSON formats the CLI accepts."""
     if not isinstance(obj, dict):
         raise ValueError("group spec must be a JSON object")
-    if "cayley" in obj:
+    shape = next((key for key in _GROUP_JSON_KEYS if key in obj), None)
+    if shape is None:
+        raise ValueError("group spec needs one of: cayley, class2, catalog")
+    _check_keys(obj, _GROUP_JSON_KEYS[shape], f"a {shape} group spec")
+    if shape == "cayley":
         return from_cayley_table(obj["cayley"], obj.get("generators", []), ell=ell)
-    if "class2" in obj:
+    if shape == "class2":
         spec = obj["class2"]
+        if not isinstance(spec, dict):
+            raise ValueError("class2 spec must be a JSON object")
+        _check_keys(spec, _CLASS2_JSON_KEYS, "the class2 spec")
         for key in ("d", "ell", "n"):
             if type(spec[key]) is not int:
                 raise InconsistentPresentation(f"class2 {key} {spec[key]!r} is not an integer")
@@ -753,6 +775,4 @@ def group_from_json(obj, ell=None) -> FinGroup:
             spec["d"], ring, comms, spec.get("powers", []),
             central_orders=spec.get("central_orders"),
         )
-    if "catalog" in obj:
-        return catalog(obj["catalog"], obj.get("params", {}))
-    raise ValueError("group spec needs one of: cayley, class2, catalog")
+    return catalog(obj["catalog"], obj.get("params", {}))

@@ -1,8 +1,16 @@
-"""Shared test fixtures: groups used across the test modules."""
+"""Shared test fixtures: groups used across the test modules, and oracles."""
 
 from itertools import product as iproduct
 
+from soclecoh.cohomology import (
+    DEFAULT_H2_MAX_ORDER,
+    CochainComplex,
+    CoeffAction,
+    inflation,
+)
+from soclecoh.errors import SizeBound
 from soclecoh.fingroup import from_cayley_table
+from soclecoh.zmodlin import howell_form_rows, quotient_orders
 
 
 def mixer32():
@@ -64,3 +72,37 @@ def mixer32():
     table = [[index[mul(x, y)] for y in elems] for x in elems]
     gens = [index[((0, 0, 0), 1, 0)], index[((0, 0, 0), 0, 1)]]
     return from_cayley_table(table, gens, ell=2)
+
+
+def bar_inflation_h2(ext, max_order=DEFAULT_H2_MAX_ORDER):
+    """inflation_h2_surjective on the bar complex: the same (holds, diagnostics).
+
+    Spans are compared inside Z^2 of the total group, the generator-cut
+    kernel of the degree-2 bar differential, with the cocycles of the
+    quotient inflated into it.
+    """
+    g = ext.total
+    if g.order > max_order:
+        raise SizeBound("total group order for the H^2 check", max_order, g.order)
+    ring = ext.ring
+    big = CochainComplex(CoeffAction.trivial(g, ring))
+    small = CochainComplex(CoeffAction.trivial(ext.quotient, ring))
+    z_big = big.cocycle_basis(2)
+    b_big = big.coboundary_basis(2)
+    inflated = []
+    for row in small.cocycle_basis(2).rows:
+        f = small.unflat(row, 2)
+        lifted = inflation(g, ext.projection, f)
+        flat = big.flat(lifted)
+        inflated.append(tuple(flat.get(i, 0) for i in range(big.dim(2))))
+    b_plus = howell_form_rows(list(b_big.rows) + inflated, big.dim(2), ring)
+    holds = b_plus == z_big
+    h2 = quotient_orders(z_big, b_big)
+    infl = quotient_orders(b_plus, b_big)
+    return holds, {
+        "holds": holds,
+        "h2_total_dim": len(h2),
+        "h2_orders": list(h2),
+        "inflated_dim": len(infl),
+        "inflated_orders": list(infl),
+    }

@@ -243,6 +243,19 @@ JSON_TYPE_HOLES = {
         {"class2": {"d": 1, "ell": 2, "n": 1, "powers": [[True]], "central_orders": [2]}},
         "central word [True] has a non-integer entry",
     ),
+    "labels_beside_cayley": (
+        {"cayley": [[0, 1], [1, 0]], "generators": [1], "labels": 5},
+        "unknown key 'labels' in a cayley group spec",
+    ),
+    "unknown_class2_key": (
+        {"class2": {"d": 1, "ell": 2, "n": 1, "powers": [[1]], "central_orders": [2],
+                    "order": 4}},
+        "unknown key 'order' in the class2 spec",
+    ),
+    "unknown_key_beside_catalog": (
+        {"catalog": "quaternion8", "params": {}, "ell": 2},
+        "unknown key 'ell' in a catalog group spec",
+    ),
 }
 
 
@@ -291,17 +304,42 @@ def test_phi_count_bounds(case):
     assert elapsed < 5
 
 
-def test_order_512_h2_check_refused_quickly():
-    # the cut degree-2 matrix of an order-512 group is refused by its entry
-    # estimate before any row is built
+# Flags that contradict each other are input errors, before any group is built.
+FLAG_CONFLICTS = {
+    "exhaustive_and_samples": (
+        ("verify", *_Q8, "--exhaustive", "--samples", "3"),
+        "not allowed with argument --exhaustive",
+    ),
+    "seed_with_enumerate": (("obstruction", *_Q8, "--enumerate"), "--seed needs --random"),
+    "seed_with_phi_file": (("obstruction", *_Q8, "--phi-file", "phi.json"), "--seed needs --random"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CONFLICTS))
+def test_exit_2_on_flag_conflicts(case):
+    argv, reason = FLAG_CONFLICTS[case]
+    proc, elapsed = run_process(*argv)
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
+
+
+def test_order_512_h2_check_completes():
+    # free_class2(3, 2, 1) is the free class-2 exponent-4 group on three
+    # generators, so no class of H^2(G) survives inflation; h2_total_dim is
+    # frozen from the first run of the relation-module route
     proc, elapsed = run_process(
         "hypothesis", "--catalog", "free_class2", "--params", "d=3", "--ell", "2", "--n", "1",
         "--max-order", "512",
     )
-    assert proc.returncode == 4
-    assert "generator-restricted degree-2 differential matrix" in proc.stderr
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
-    assert elapsed < 5
+    assert elapsed < 10
+    rep = json.loads(proc.stdout)
+    assert rep["order"] == 512
+    assert rep["holds"] is False and rep["inflated_dim"] == 0
+    assert rep["h2_total_dim"] == 14
 
 
 def test_phi_file_happy_path(capsys, tmp_path):

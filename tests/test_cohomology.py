@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from helpers import mixer32
+from helpers import bar_inflation_h2, mixer32
 from soclecoh import cohomology
 from soclecoh.cohomology import (
+    DEFAULT_H2_MAX_ORDER,
     CochainComplex,
     CoeffAction,
     Cochain,
@@ -25,8 +26,22 @@ from soclecoh.cohomology import (
     multiplication_pairing,
     restriction,
 )
-from soclecoh.errors import EquivarianceFailure, NotACocycle, PairingMismatch, SizeBound
-from soclecoh.fingroup import Subgroup, catalog, make_extension
+from soclecoh.errors import (
+    EquivarianceFailure,
+    InconsistentPresentation,
+    NotACocycle,
+    PairingMismatch,
+    QuotientNotFree,
+    SizeBound,
+)
+from soclecoh.fingroup import (
+    Subgroup,
+    catalog,
+    descending_step,
+    from_cayley_table,
+    from_class2_presentation,
+    make_extension,
+)
 from soclecoh.gmodule import ExtensionModules, dual, mat_identity, trivial_module
 from soclecoh.obstruction import ObstructionContext
 from soclecoh.zmodlin import RingConfig, howell_form_rows
@@ -357,6 +372,38 @@ def test_z2_size_bound(monkeypatch):
         cc.solver(2)
 
 
+def _estimate(cc, k):
+    """The entry estimate _matrix checks, read off its SizeBound at limit 0."""
+    with pytest.raises(SizeBound) as info:
+        cc.solver(k)
+    return info.value.actual
+
+
+def test_matrix_entry_estimate(monkeypatch):
+    # at least the entries differential yields for each basis vector of C^k,
+    # for a module of rank t > 1; the old dim(k)·(k+2)·(|g|-1)·t at t = 1
+    ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4)
+    i2 = action_for_quotient_module(ext, ExtensionModules(ext).i_m(2).module)
+    ext = make_extension(mixer32(), R2)
+    j = action_for_quotient_module(ext, ExtensionModules(ext).j.module)
+    monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 0)
+    for act, t in ((j, 3), (i2, 2)):
+        cc = CochainComplex(act)
+        assert cc.t == t
+        for k in (1, 2):
+            units = mat_identity(act.module.orders)
+            produced = sum(
+                len([v for v in vec if v])
+                for tup in cc.basis_tuples(k)
+                for unit in units
+                for vec in differential(Cochain(act, k, {tup: unit})).values.values()
+            )
+            assert produced <= _estimate(cc, k), (t, k)
+    cc = CochainComplex(trivial_action("quaternion8", R2))
+    for k in (0, 1, 2):
+        assert _estimate(cc, k) == cc.dim(k) * (k + 2) * cc.n1
+
+
 # -- cup products ---------------------------------------------------------------
 
 
@@ -645,6 +692,138 @@ def test_h2_size_bound():
     ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4)
     with pytest.raises(SizeBound):
         inflation_h2_surjective(ext)
+
+
+def _partitions(total, largest=None):
+    if total == 0:
+        yield []
+    for p in range(min(total, largest or total), 0, -1):
+        for rest in _partitions(total - p, p):
+            yield [p, *rest]
+
+
+def _catalog_upto_32():
+    """Every catalog group of order <= 32, each abelian group once."""
+    cases = [("cyclic", {"ell": 2, "k": 0})]
+    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        cases += [("cyclic", {"ell": ell, "k": k}) for k in range(1, 6) if ell**k <= 32]
+        for t in range(2, 6):
+            if ell**t <= 32:
+                cases.append(("elementary_abelian", {"ell": ell, "d": t}))
+                cases += [
+                    ("abelian_product", {"ell": ell, "exponents": p})
+                    for p in _partitions(t)
+                    if 1 < len(p) < t
+                ]
+    return cases + [
+        ("dihedral8", None),
+        ("quaternion8", None),
+        ("heisenberg", {"ell": 2}),
+        ("heisenberg", {"ell": 3}),
+        ("unitriangular3", {"ell": 2, "n": 1}),
+        ("unitriangular3", {"ell": 3, "n": 1}),
+        ("wreath_z4_z2", None),
+        ("free_class2", {"d": 1, "ell": 2, "n": 1}),
+        ("free_class2", {"d": 1, "ell": 2, "n": 2}),
+        ("free_class2", {"d": 1, "ell": 3, "n": 1}),
+        ("free_class2", {"d": 1, "ell": 5, "n": 1}),
+        ("free_class2", {"d": 2, "ell": 2, "n": 1}),
+    ]
+
+
+H2_ORACLE_CASES = _catalog_upto_32()
+
+
+def _h2_both_routes(ext, max_order=DEFAULT_H2_MAX_ORDER):
+    new = inflation_h2_surjective(ext, max_order=max_order)
+    assert new == bar_inflation_h2(ext, max_order=max_order)
+    return new[0]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    H2_ORACLE_CASES,
+    ids=[
+        "".join([name, *(f"-{key}={v}" for key, v in (params or {}).items())]).replace(" ", "")
+        for name, params in H2_ORACLE_CASES
+    ],
+)
+def test_h2_relation_module_matches_bar(name, params):
+    # the whole diagnostics dict, over every Z/l^n whose top quotient is free
+    g = catalog(name, params)
+    ell = (params or {}).get("ell", 2)
+    rings = 0
+    for n in range(1, 6):
+        try:
+            ext = make_extension(g, RingConfig(ell, n))
+        except QuotientNotFree:
+            continue
+        _h2_both_routes(ext)
+        rings += 1
+    assert rings >= 1
+
+
+def test_h2_relation_module_matches_bar_beyond_catalog():
+    # mixer32; the order-64 unitriangular3(2,2) over Z/2; and Cayley tables
+    # whose generators include a kernel element, so that pi(S) contains the
+    # identity of G (a loop in G's Cayley graph)
+    seen = {_h2_both_routes(make_extension(mixer32(), R2))}
+    ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R2)
+    seen.add(_h2_both_routes(ext, max_order=64))
+    for name, params, ring in (
+        ("quaternion8", None, R2),
+        ("wreath_z4_z2", None, R2),
+        ("heisenberg", {"ell": 3}, R3),
+        ("abelian_product", {"ell": 2, "exponents": [2, 2]}, R2),
+    ):
+        g = catalog(name, params)
+        z = max(descending_step(g, ring).elements)
+        ext = make_extension(from_cayley_table(g.cayley, (*g.generators, z)), ring)
+        pi_s = [ext.projection[s] for s in ext.total.generators]
+        assert ext.quotient.identity in pi_s, name
+        seen.add(_h2_both_routes(ext))
+    assert seen == {True, False}
+
+
+def _random_class2(rng):
+    """A random class-2 presentation of order <= 32 over Z/2, Z/3 or Z/4."""
+    ring, d, central = rng.choice((
+        (R2, 2, [2]), (R2, 2, [2, 2]), (R2, 2, [2, 2, 2]), (R2, 3, [2]), (R2, 3, [2, 2]),
+        (R3, 1, [3]), (R3, 1, [3, 3]), (R3, 2, [3]),
+        (R4, 1, [2]), (R4, 1, [4]), (R4, 1, [2, 2]), (R4, 2, [2]),
+    ))
+    words = [tuple(rng.randrange(o) for o in central) for _ in range(d * (d + 1) // 2)]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    comms = dict(zip(pairs, words))
+    return from_class2_presentation(d, ring, comms, words[len(pairs):], central), ring
+
+
+def test_h2_relation_module_matches_bar_random_class2():
+    rng = random.Random(2024)
+    checked, skipped, seen = 0, 0, set()
+    while checked < 40:
+        try:
+            g, ring = _random_class2(rng)
+            ext = make_extension(g, ring)
+        except (InconsistentPresentation, QuotientNotFree):
+            skipped += 1
+            continue
+        seen.add(_h2_both_routes(ext))
+        checked += 1
+    assert seen == {True, False}
+    assert skipped < checked
+
+
+def test_h2_relation_module_size_bound(monkeypatch):
+    # quaternion8 on two generators: 9 non-tree edges and a BFS tree of depth
+    # 2, so 2 x 9 boundary rows of at most 2 x (2·2 + 1) nonzeros
+    monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 179)
+    ext = make_extension(catalog("quaternion8"), R2)
+    what = r"relation-module boundary matrix \(estimated nonzeros\)"
+    with pytest.raises(SizeBound, match=f"^size bound exceeded for {what}: limit 179, got 180$"):
+        inflation_h2_surjective(ext)
+    monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 180)
+    assert inflation_h2_surjective(ext)[0] is True
 
 
 def test_extension_cocycle_transversal_independence():
