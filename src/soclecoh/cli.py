@@ -30,6 +30,7 @@ from .errors import (
     NotNilpotent,
     QuotientNotFree,
     SizeBound,
+    SocleCohError,
     UnknownCatalogEntry,
     WrongLevel,
 )
@@ -226,8 +227,11 @@ def cmd_obstruction(args) -> int:
                 ]
         if args.dump_cochains:
             rec["psi"] = _cochain_dump(res.psi_cocycle)
-            if res.witness is not None:
-                rec["witness"] = _cochain_dump(res.witness)
+            if res.is_zero_class:
+                witness = ctx.r_complex.coboundary_witness(res.psi_cocycle)
+                if witness is None:
+                    raise SocleCohError("the H^3 decision and the bar solve disagree")
+                rec["witness"] = _cochain_dump(witness)
         records.append(rec)
     report = {
         "command": "obstruction",

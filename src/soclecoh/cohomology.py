@@ -7,12 +7,15 @@ implicitly maps to zero.  The differential is the standard bar formula
     (df)(g1..g_{k+1}) = g1.f(g2..) + sum_i (-1)^i f(..g_i g_{i+1}..)
                         + (-1)^{k+1} f(g1..g_k)
 
-and is evaluated support-driven, so sparse cochains stay cheap.  Coboundary
-tests are canonical solves against the previous differential's matrix; the
-solver matrices live in the "coefficient" space of zmodlin (each target
-coordinate scaled by l^n/order) so one Howell engine serves all modules.
-The H^2 hypothesis check builds no bar matrix: it works in homology, on the
-cycle space of a Cayley graph (inflation_h2_surjective).
+and is evaluated support-driven, so sparse cochains stay cheap; a cocycle
+check evaluates it only at generator last arguments.  Canonical coboundary
+witnesses are solves against the previous differential's matrix; the solver
+matrices live in the "coefficient" space of zmodlin (each target coordinate
+scaled by l^n/order) so one Howell engine serves all modules.  Classes with
+trivial Z/l^n coefficients on G = (Z/l^n)^d are decided without a solve, on
+the tensor product of cyclic resolutions (CyclicTensorResolution), and the
+H^2 hypothesis check builds no bar matrix either: it works in homology, on
+the cycle space of a Cayley graph (inflation_h2_surjective).
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ class Cochain:
         return self.degree == other.degree and self.values == other.values
 
 
-def differential(f: Cochain) -> Cochain:
+def differential(f: Cochain, last=None) -> Cochain:
     """Bar differential, evaluated only where the support can contribute.
 
     One accumulator of plain ints per module coordinate.  Only the first
@@ -146,6 +149,12 @@ def differential(f: Cochain) -> Cochain:
     every other face adds +-f(..) to each coordinate on its own.  An inner
     face f(..g_i g_{i+1}..) reaches the tuples that split a support entry
     t = g_i g_{i+1} into a product a.b, which the group's merges table lists.
+
+    With last given, df is evaluated only at the tuples whose last argument
+    lies in last: the first face and the inner faces that keep the last
+    argument count only for support tuples ending in last, the last face
+    runs over last, and the face that splits the last argument keeps the
+    pairs a.b = t with b in last, a = t.b^-1.
     """
     act = f.action
     grp = act.group
@@ -153,13 +162,29 @@ def differential(f: Cochain) -> Cochain:
     k = f.degree
     ident = grp.identity
     nonid = [g for g in grp.elements() if g != ident]
+    keep = set(nonid if last is None else last)
+    ends = [g for g in nonid if g in keep]
     merges = grp.merges() if k else ()
+    last_merges = merges
+    if last is not None and k:
+        # the pairs a.b = t with b in last: a = t.b^-1, and a != 1 when b != t
+        inv = [grp.inv(b) for b in ends]
+        last_merges = [
+            [(grp.mul(t, bi), b) for b, bi in zip(ends, inv) if b != t] for t in grp.elements()
+        ]
     last_sign = -1 if (k + 1) % 2 else 1
     trivial = all(m is act.mats[ident] or m == act.mats[ident] for m in act.mats)
     accs = [{} for _ in orders]
     for tup, vec in f.values.items():
+        # the faces that keep tup[-1] last count when it is kept; in degree 0
+        # the first face's output (g,) ends in g
+        whole = last is None or (k and tup[-1] in keep)
+        firsts = ends if not k else nonid if whole else ()
+        splits = [(i, merges[tup[i]]) for i in range(k - 1)] if whole else []
+        if k:
+            splits.append((k - 1, last_merges[tup[-1]]))
         if not trivial:
-            for g in nonid:
+            for g in firsts:
                 t1 = (g,) + tup
                 for acc, x in zip(accs, act.act(g, vec)):
                     if x:
@@ -168,17 +193,18 @@ def differential(f: Cochain) -> Cochain:
             if not v:
                 continue
             get = acc.get
-            lv = last_sign * v
-            for g in nonid:
-                if trivial:  # g1.f(g2..) = f(g2..)
+            if trivial:  # g1.f(g2..) = f(g2..)
+                for g in firsts:
                     t1 = (g,) + tup
                     acc[t1] = get(t1, 0) + v
+            lv = last_sign * v
+            for g in ends:
                 t2 = tup + (g,)
                 acc[t2] = get(t2, 0) + lv
-            for i in range(k):
+            for i, pairs in splits:
                 sv = -v if (i + 1) % 2 else v
                 head, tail = tup[:i], tup[i + 1 :]
-                for a, b in merges[tup[i]]:
+                for a, b in pairs:
                     t3 = head + (a, b) + tail
                     acc[t3] = get(t3, 0) + sv
     # reduce each coordinate and gather the nonzero value vectors
@@ -196,7 +222,10 @@ def differential(f: Cochain) -> Cochain:
 
 
 def is_cocycle(f: Cochain) -> bool:
-    return differential(f).is_zero()
+    """df = 0, checked at the tuples whose last argument is a generator:
+    README, "Cocycles from the generator cut", shows that df vanishes
+    everywhere once it vanishes there."""
+    return differential(f, f.action.group.generators).is_zero()
 
 
 class CochainComplex:
@@ -302,36 +331,101 @@ class CochainComplex:
             return None
         return self.unflat(x, f.degree - 1)
 
-    def cocycle_basis(self, k: int) -> HowellBasis:
-        """Scaled basis of Z^k: the kernel of d cut to generator last arguments.
 
-        For F = df, dF(g_1..g_k, x, y) = 0 reduces to F(g_1..g_k, xy) = 0 once F
-        vanishes at the last arguments x and y, so those close under products.
-        """
-        q = self.action.module.ring.modulus
-        orders = self.action.module.orders
-        s = self._matrix(k, self.action.group.generators)
-        scaled = [
-            tuple(v * (q // orders[i % self.t]) % q for i, v in enumerate(row))
-            for row in s.kernel_row_tuples()
-        ]
-        return howell_form_rows(scaled, self.dim(k), self.action.module.ring)
-
-    def coboundary_basis(self, k: int) -> HowellBasis:
-        """Scaled basis of B^k (image of d from degree k-1)."""
-        ring = self.action.module.ring
-        if k == 0:
-            return howell_form_rows([], self.dim(0), ring)
-        s = self.solver(k - 1)
-        return howell_form_rows(list(s.image_row_tuples()), self.dim(k), ring)
+# ---------------------------------------------------------------------------
+# Trivial Z/q coefficients on G = (Z/q)^d: the cyclic tensor resolution.
+# ---------------------------------------------------------------------------
 
 
-def cohomology_rank(action: CoeffAction, k: int):
-    """Cyclic orders of H^k = ker d_k / im d_{k-1}, descending."""
-    cc = CochainComplex(action)
-    z = cc.cocycle_basis(k)
-    b = cc.coboundary_basis(k)
-    return quotient_orders(z, b)
+def _exponent_vectors(k: int, d: int):
+    """The a in N^d with a_1 + .. + a_d = k, lexicographically descending."""
+    if d == 0:
+        return [()] if k == 0 else []
+    return [(j,) + rest for j in range(k, -1, -1) for rest in _exponent_vectors(k - j, d - 1)]
+
+
+class CyclicTensorResolution:
+    """P, the tensor product of the periodic resolutions of the cyclic
+    factors <sigma_i> of G = (Z/q)^d, with a chain map phi: P -> bar.
+
+    P_k is free on the e_a, a in N^d with |a| = k.  The i-th factor sends
+    e_j to (sigma_i - 1) e_{j-1} for odd j and to N_i e_{j-1} for even j,
+    N_i = 1 + sigma_i + .. + sigma_i^(q-1), with the Koszul sign
+    (-1)^(a_1 + .. + a_{i-1}).  On trivial Z/q coefficients sigma_i - 1 and
+    N_i both act as 0, so Hom_G(P, Z/q) has zero differentials and
+    H^k(G, Z/q) = Hom_G(P_k, Z/q): a k-cocycle f is a coboundary exactly
+    when f vanishes on phi_k(e_a) for every a.
+
+    phi_0(e_0) = [] and phi_k(e) = h(phi_{k-1}(de)), where
+    h(g[g_1|..|g_k]) = [g|g_1|..|g_k] is the contracting homotopy of the
+    normalized bar resolution (zero for g = 1).  dh + hd = 1 makes phi a
+    chain map.  Every phi_k(e) has coefficient 1 on its bar tuples, so
+    chain_map[k][a] is a dict {(g_1..g_k): integer}, built for k <= 3.
+    """
+
+    def __init__(self, ext: ExtensionData):
+        G = ext.quotient
+        self.group = G
+        self.modulus = q = ext.ring.modulus
+        self.d = ext.d
+        self.powers = []
+        for s in ext.sigma:
+            xs = [G.identity]
+            for _ in range(q - 1):
+                xs.append(G.mul(xs[-1], s))
+            self.powers.append(xs)
+        self.chain_map = [{(0,) * self.d: {(): 1}}]
+        for k in (1, 2, 3):
+            self.chain_map.append({a: self._lift(k, a) for a in self.basis(k)})
+
+    def basis(self, k: int):
+        return _exponent_vectors(k, self.d)
+
+    def boundary(self, a):
+        """d e_a as [(r, b)]: r in Z[G] as {element: integer}, b = a - e_i."""
+        out = []
+        sign = 1
+        for i, ai in enumerate(a):
+            if ai:
+                xs = self.powers[i]
+                r = {xs[1]: sign, xs[0]: -sign} if ai % 2 else {x: sign for x in xs}
+                out.append((r, a[:i] + (ai - 1,) + a[i + 1 :]))
+                if ai % 2:
+                    sign = -sign
+        return out
+
+    def _lift(self, k: int, a) -> dict:
+        """phi_k(e_a) = h(phi_{k-1}(de_a)); h drops the coefficient-1 terms."""
+        ident = self.group.identity
+        out = {}
+        for r, b in self.boundary(a):
+            below = self.chain_map[k - 1][b]
+            for x, c in r.items():
+                if x != ident:
+                    for t, v in below.items():
+                        key = (x,) + t
+                        out[key] = out.get(key, 0) + c * v
+        return {t: v for t, v in out.items() if v}
+
+    def is_coboundary(self, f: Cochain) -> bool:
+        """Is the Z/q-valued cocycle f of degree <= 3 a coboundary?
+
+        Raises NotACocycle when f is not a cocycle."""
+        act = f.action
+        ident = mat_identity((self.modulus,))
+        if act.group is not self.group or act.module.orders != (self.modulus,) or any(
+            m != ident for m in act.mats
+        ):
+            raise DimensionMismatch("the H^k decision needs trivial Z/q coefficients on G")
+        if f.degree >= len(self.chain_map):
+            raise DimensionMismatch(f"the chain map stops at degree {len(self.chain_map) - 1}")
+        if not is_cocycle(f):
+            raise NotACocycle(f"degree-{f.degree} cochain is not a cocycle")
+        values = f.values
+        return all(
+            sum(c * values[t][0] for t, c in chain.items() if t in values) % self.modulus == 0
+            for chain in self.chain_map[f.degree].values()
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .cohomology import (
     CoeffAction,
     Cochain,
     CoefficientSES,
+    CyclicTensorResolution,
     action_for_quotient_module,
     connecting,
     cup,
@@ -132,10 +133,9 @@ class PhiMap:
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    """Psi of one phi: the degree-3 cocycle, its witness, and route records."""
+    """Psi of one phi: the degree-3 cocycle, its class bit, and route records."""
 
     psi_cocycle: Cochain
-    witness: Cochain | None
     is_zero_class: bool
     routes: dict
 
@@ -166,6 +166,7 @@ class ObstructionContext:
         self.alpha = extension_cocycle(ext, self.em.j)
         self.r_action = CoeffAction.trivial(ext.quotient, self.ring)
         self.r_complex = CochainComplex(self.r_action)
+        self.resolution = CyclicTensorResolution(ext)
         self._imdual = {}
         self._imdual_action = {}
         self._imdual_complex = {}
@@ -274,11 +275,9 @@ class ObstructionContext:
     def psi_generic(self, phi: PhiMap) -> ObstructionResult:
         d2c = self.d2_of_phi(phi)
         psi = connecting(self.dual_sequence(phi.m), d2c)
-        witness = self.r_complex.coboundary_witness(psi)
         return ObstructionResult(
             psi_cocycle=psi,
-            witness=witness,
-            is_zero_class=witness is not None,
+            is_zero_class=self.resolution.is_coboundary(psi),
             routes={"generic": psi},
         )
 
@@ -330,8 +329,8 @@ class ObstructionContext:
         return total
 
     def obstruction_with_routes(self, phi: PhiMap, include_m2: bool | None = None) -> ObstructionResult:
-        """Route A with witness, plus routes B (and C when m = 2) and their
-        pairwise agreement certificates."""
+        """Route A, plus routes B (and C when m = 2) and their pairwise
+        agreement certificates."""
         base = self.psi_generic(phi)
         routes = dict(base.routes)
         agreement = {}
@@ -344,12 +343,10 @@ class ObstructionContext:
             m2 = self.psi_m2_formula(phi)
             routes["m2"] = m2
             diff = base.psi_cocycle.add(m2.neg())
-            w = self.r_complex.coboundary_witness(diff)
-            agreement["generic_vs_m2_cohomologous"] = w is not None
+            agreement["generic_vs_m2_cohomologous"] = self.resolution.is_coboundary(diff)
         routes["agreement"] = agreement
         return ObstructionResult(
             psi_cocycle=base.psi_cocycle,
-            witness=base.witness,
             is_zero_class=base.is_zero_class,
             routes=routes,
         )

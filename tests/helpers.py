@@ -1,4 +1,9 @@
-"""Shared test fixtures: groups used across the test modules, and oracles."""
+"""Shared test fixtures: groups used across the test modules, and oracles.
+
+The bar-complex oracles (cocycle_basis, coboundary_basis, cohomology_rank,
+bar_inflation_h2) compute from whole cochain spaces what the library decides
+without them; they live here because only tests call them.
+"""
 
 from itertools import product as iproduct
 
@@ -10,7 +15,7 @@ from soclecoh.cohomology import (
 )
 from soclecoh.errors import SizeBound
 from soclecoh.fingroup import from_cayley_table
-from soclecoh.zmodlin import howell_form_rows, quotient_orders
+from soclecoh.zmodlin import HowellBasis, howell_form_rows, quotient_orders
 
 
 def mixer32():
@@ -74,6 +79,36 @@ def mixer32():
     return from_cayley_table(table, gens, ell=2)
 
 
+def cocycle_basis(cc: CochainComplex, k: int) -> HowellBasis:
+    """Scaled basis of Z^k: the kernel of d cut to generator last arguments.
+
+    For F = df, dF(g_1..g_k, x, y) = 0 reduces to F(g_1..g_k, xy) = 0 once F
+    vanishes at the last arguments x and y, so those close under products.
+    """
+    q = cc.action.module.ring.modulus
+    orders = cc.action.module.orders
+    s = cc._matrix(k, cc.action.group.generators)
+    scaled = [
+        tuple(v * (q // orders[i % cc.t]) % q for i, v in enumerate(row))
+        for row in s.kernel_row_tuples()
+    ]
+    return howell_form_rows(scaled, cc.dim(k), cc.action.module.ring)
+
+
+def coboundary_basis(cc: CochainComplex, k: int) -> HowellBasis:
+    """Scaled basis of B^k (image of d from degree k-1)."""
+    ring = cc.action.module.ring
+    if k == 0:
+        return howell_form_rows([], cc.dim(0), ring)
+    return howell_form_rows(list(cc.solver(k - 1).image_row_tuples()), cc.dim(k), ring)
+
+
+def cohomology_rank(action: CoeffAction, k: int):
+    """Cyclic orders of H^k = ker d_k / im d_{k-1}, descending."""
+    cc = CochainComplex(action)
+    return quotient_orders(cocycle_basis(cc, k), coboundary_basis(cc, k))
+
+
 def bar_inflation_h2(ext, max_order=DEFAULT_H2_MAX_ORDER):
     """inflation_h2_surjective on the bar complex: the same (holds, diagnostics).
 
@@ -87,10 +122,10 @@ def bar_inflation_h2(ext, max_order=DEFAULT_H2_MAX_ORDER):
     ring = ext.ring
     big = CochainComplex(CoeffAction.trivial(g, ring))
     small = CochainComplex(CoeffAction.trivial(ext.quotient, ring))
-    z_big = big.cocycle_basis(2)
-    b_big = big.coboundary_basis(2)
+    z_big = cocycle_basis(big, 2)
+    b_big = coboundary_basis(big, 2)
     inflated = []
-    for row in small.cocycle_basis(2).rows:
+    for row in cocycle_basis(small, 2).rows:
         f = small.unflat(row, 2)
         lifted = inflation(g, ext.projection, f)
         flat = big.flat(lifted)

@@ -1,5 +1,6 @@
 """Exit codes, report formats, and determinism of the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,11 @@ import pytest
 import soclecoh
 from helpers import mixer32
 from soclecoh.cli import main
+from soclecoh.cohomology import CochainComplex, CoeffAction, Cochain, differential
+from soclecoh.fingroup import catalog, make_extension
+from soclecoh.zmodlin import RingConfig
+
+R2 = RingConfig(2, 1)
 
 
 def run(capsys, *argv):
@@ -93,11 +99,55 @@ def test_obstruction_dump_cochains(capsys):
         "--m", "2", "--enumerate", "--dump-cochains",
     )
     assert code == 0
+    # the report of the bar-solve route, before the H^3 decision moved to P
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78e4819e12236183e95d8ab27996edb039f0b849f80203adc2d0af08e4b9527d"
+    )
     rep = json.loads(out)
+    action = CoeffAction.trivial(make_extension(catalog("quaternion8"), R2).quotient, R2)
+
+    def cochain(dump):
+        values = {tuple(t): tuple(v) for t, v in dump["entries"]}
+        return Cochain.make(action, dump["degree"], values)
+
     for rec in rep["records"]:
         assert rec["psi"]["degree"] == 3
         if rec["zero_class"]:
             assert "witness" in rec
+            assert differential(cochain(rec["witness"])).same_values(cochain(rec["psi"]))
+        else:
+            assert "witness" not in rec
+
+
+def test_obstruction_and_verify_build_no_bar_solver(capsys, monkeypatch):
+    # the H^3 decision needs no bar matrix: only a --dump-cochains witness does
+    calls = []
+    build = CochainComplex.solver
+
+    def counted(self, k):
+        calls.append(k)
+        return build(self, k)
+
+    monkeypatch.setattr(CochainComplex, "solver", counted)
+    u3 = ["--catalog", "unitriangular3", "--params", "n=2", "--ell", "2", "--n", "2"]
+    for argv in (
+        ["obstruction", *u3, "--m", "2", "--routes", "all", "--random", "4", "--seed", "1"],
+        ["obstruction", *u3, "--m", "3", "--random", "4", "--seed", "1"],
+        ["obstruction", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
+         "--enumerate", "--routes", "all"],
+        ["verify", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
+         "--exhaustive"],
+        ["verify", *u3, "--m", "2", "--samples", "3", "--seed", "1", "--max-order", "64"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert calls == []
+    code, _, _ = run(
+        capsys, "obstruction", "--catalog", "quaternion8", "--ell", "2", "--n", "1",
+        "--m", "2", "--enumerate", "--dump-cochains",
+    )
+    assert code == 0
+    assert calls and set(calls) == {2}
 
 
 def test_exit_2_on_bad_catalog(capsys):
@@ -340,6 +390,21 @@ def test_order_512_h2_check_completes():
     assert rep["order"] == 512
     assert rep["holds"] is False and rep["inflated_dim"] == 0
     assert rep["h2_total_dim"] == 14
+
+
+def test_order_256_obstruction_with_order_32_quotient():
+    # |G| = 32: the bar H^3 solve and the full degree-4 cocycle guard took
+    # about 10 s and 123 MB here; the report is pinned from that route
+    proc, elapsed = run_process(
+        "obstruction", "--catalog", "abelian_product", "--params", "exponents=[2,2,2,1,1]",
+        "--ell", "2", "--n", "1", "--m", "2", "--random", "5", "--seed", "1",
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 8
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "bbfbb16a5f773eb0b4bfd711b17cea970a204c1b2a2594a5903bbf3c8b9cf657"
+    )
 
 
 def test_phi_file_happy_path(capsys, tmp_path):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import bar_inflation_h2, mixer32
+from helpers import bar_inflation_h2, cocycle_basis, cohomology_rank, mixer32
 from soclecoh import cohomology
 from soclecoh.cohomology import (
     DEFAULT_H2_MAX_ORDER,
@@ -13,8 +13,8 @@ from soclecoh.cohomology import (
     CoeffAction,
     Cochain,
     CoefficientSES,
+    CyclicTensorResolution,
     action_for_quotient_module,
-    cohomology_rank,
     connecting,
     cup,
     d2_on_E01,
@@ -27,6 +27,7 @@ from soclecoh.cohomology import (
     restriction,
 )
 from soclecoh.errors import (
+    DimensionMismatch,
     EquivarianceFailure,
     InconsistentPresentation,
     NotACocycle,
@@ -165,6 +166,57 @@ def test_differential_matches_bar_formula():
                 got = differential(f)
                 assert all(got.value(t) == v for t, v in want.items())
                 assert all(t in want for t in got.values)
+
+
+def cut_cases():
+    """(action, degrees): a trivial module, J of mixer32 (rank 3, a nontrivial
+    action) and I/I^2 of unitriangular3(2,2) (rank 2 over Z/4)."""
+    mixer = make_extension(mixer32(), R2)
+    u3 = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4)
+    return [
+        (CoeffAction.trivial(catalog("quaternion8"), R2), (0, 1, 2, 3)),
+        (CoeffAction.trivial(catalog("abelian_product", {"ell": 2, "exponents": [2, 2]}), R4),
+         (0, 1, 2, 3)),
+        (action_for_quotient_module(mixer, ExtensionModules(mixer).j.module), (0, 1, 2, 3)),
+        (action_for_quotient_module(u3, ExtensionModules(u3).i_m(2).module), (0, 1, 2, 3)),
+    ]
+
+
+def test_differential_cut_to_generators_matches_full():
+    # differential(f, S) is differential(f) at the tuples whose last argument is in S
+    rng = random.Random(17)
+    for act, degrees in cut_cases():
+        gens = act.group.generators
+        for k in degrees:
+            for support in (1, 5, 40):
+                f = random_cochain(act, k, rng, support=support)
+                full = differential(f)
+                want = {t: v for t, v in full.values.items() if t[-1] in gens}
+                assert differential(f, gens).values == want, (act.group, k, support)
+                # and with a cut that is not a generating set
+                part = gens[:1]
+                want = {t: v for t, v in full.values.items() if t[-1] in part}
+                assert differential(f, part).values == want, (act.group, k, support)
+
+
+def test_is_cocycle_matches_full_differential():
+    # coboundaries are cocycles; a coboundary changed at one tuple is not one,
+    # and the generator cut sees that as the full differential does
+    rng = random.Random(23)
+    for act, degrees in cut_cases():
+        nonid = [g for g in act.group.elements() if g != act.group.identity]
+        for k in degrees:
+            if k == 0:
+                continue
+            for _ in range(3):
+                f = differential(random_cochain(act, k - 1, rng, support=4))
+                assert is_cocycle(f) and differential(f).is_zero()
+                t = tuple(rng.choice(nonid) for _ in range(k))
+                j = rng.randrange(act.module.rank)
+                bump = tuple(int(i == j) for i in range(act.module.rank))
+                bad = f.add(Cochain.make(act, k, {t: bump}))
+                assert not differential(bad).is_zero()
+                assert not is_cocycle(bad)
 
 
 def test_nonzero_class_on_z2():
@@ -346,7 +398,7 @@ def zk_case_id(name, params, ring, k):
 def test_z2_generator_route_matches_full_bar(name, params, ring, k):
     g = mixer32() if name == "mixer32" else catalog(name, params)
     cc = CochainComplex(CoeffAction.trivial(g, ring))
-    assert cc.cocycle_basis(k) == full_bar_z(cc, k)
+    assert cocycle_basis(cc, k) == full_bar_z(cc, k)
 
 
 def test_z2_generator_route_matches_full_bar_nontrivial_module():
@@ -354,11 +406,11 @@ def test_z2_generator_route_matches_full_bar_nontrivial_module():
     # nontrivial action of the Klein group) in degrees 0 to 3
     ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4)
     cc = CochainComplex(action_for_quotient_module(ext, ExtensionModules(ext).i_m(2).module))
-    assert cc.cocycle_basis(2) == full_bar_z(cc, 2)
+    assert cocycle_basis(cc, 2) == full_bar_z(cc, 2)
     ext = make_extension(mixer32(), R2)
     cc = CochainComplex(action_for_quotient_module(ext, ExtensionModules(ext).j.module))
     for k in (0, 1, 2, 3):
-        assert cc.cocycle_basis(k) == full_bar_z(cc, k), k
+        assert cocycle_basis(cc, k) == full_bar_z(cc, k), k
 
 
 def test_z2_size_bound(monkeypatch):
@@ -366,7 +418,7 @@ def test_z2_size_bound(monkeypatch):
     cc = CochainComplex(trivial_action("quaternion8", R2))
     # the estimate is 7^2 rows of at most 4 faces x 7 entries, for either matrix
     with pytest.raises(SizeBound, match="generator-restricted degree-2 differential"):
-        cc.cocycle_basis(2)
+        cocycle_basis(cc, 2)
     full = r"^size bound exceeded for degree-2 differential matrix \(estimated entries\)"
     with pytest.raises(SizeBound, match=full + ": limit 50, got 1372$"):
         cc.solver(2)
@@ -402,6 +454,131 @@ def test_matrix_entry_estimate(monkeypatch):
     cc = CochainComplex(trivial_action("quaternion8", R2))
     for k in (0, 1, 2):
         assert _estimate(cc, k) == cc.dim(k) * (k + 2) * cc.n1
+
+
+# -- H^k with trivial Z/q coefficients on the cyclic tensor resolution -------------
+
+
+def toral_extension(q, d):
+    """The extension of G = (Z/q)^d by the trivial kernel, q in {2, 3, 4}."""
+    ring = {2: R2, 3: R3, 4: R4}[q]
+    exps = [2 if q == 4 else 1] * d
+    return make_extension(catalog("abelian_product", {"ell": ring.ell, "exponents": exps}), ring)
+
+
+def bar_boundary(grp, chain):
+    """d of sum c.[g_1|..|g_k] in the normalized bar resolution, keyed
+    (x, g_2'..g_k') with x the group-ring coefficient:
+    d[g_1|..|g_k] = g_1[g_2|..] + sum_i (-1)^i [..|g_i g_{i+1}|..] + (-1)^k [g_1|..|g_{k-1}]."""
+    out = {}
+
+    def put(key, c):
+        if grp.identity not in key[1:]:
+            out[key] = out.get(key, 0) + c
+
+    for t, c in chain.items():
+        k = len(t)
+        put(t, c)
+        for i in range(k - 1):
+            merged = t[:i] + (grp.mul(t[i], t[i + 1]),) + t[i + 2 :]
+            put((grp.identity,) + merged, (-1) ** (i + 1) * c)
+        put((grp.identity,) + t[:-1], (-1) ** k * c)
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("q, d", [(q, d) for q in (2, 3, 4) for d in (1, 2, 3)])
+def test_cyclic_tensor_chain_map(q, d):
+    # d_bar phi_k(e) = phi_{k-1}(d_P e) on every basis element of P_k, k <= 3
+    from math import comb
+
+    res = CyclicTensorResolution(toral_extension(q, d))
+    grp = res.group
+    assert res.chain_map[0] == {(0,) * d: {(): 1}}
+    for k in (1, 2, 3):
+        assert len(res.basis(k)) == len(res.chain_map[k]) == comb(d + k - 1, k)
+        for a, chain in res.chain_map[k].items():
+            want = {}
+            for r, b in res.boundary(a):
+                for x, c in r.items():
+                    for t, v in res.chain_map[k - 1][b].items():
+                        want[(x,) + t] = want.get((x,) + t, 0) + c * v
+            want = {key: c for key, c in want.items() if c}
+            assert bar_boundary(grp, chain) == want, (k, a)
+
+
+# Every catalog group with |G| <= 16 whose standing assumption holds over the
+# ring, and mixer32; (name, params, ring).
+H3_CASES = [
+    ("cyclic", {"ell": 2, "k": 2}, R2),
+    ("elementary_abelian", {"ell": 3, "d": 2}, R3),
+    ("abelian_product", {"ell": 2, "exponents": [2, 2]}, R4),
+    ("quaternion8", None, R2),
+    ("dihedral8", None, R2),
+    ("heisenberg", {"ell": 2}, R2),
+    ("heisenberg", {"ell": 3}, R3),
+    ("unitriangular3", {"ell": 2, "n": 1}, R2),
+    ("unitriangular3", {"ell": 3, "n": 1}, R3),
+    ("unitriangular3", {"ell": 2, "n": 2}, R4),
+    ("wreath_z4_z2", None, R2),
+    ("free_class2", {"d": 2, "ell": 2, "n": 1}, R2),
+    ("free_class2", {"d": 2, "ell": 3, "n": 1}, R3),
+    ("free_class2", {"d": 3, "ell": 2, "n": 1}, R2),
+    ("mixer32", None, R2),
+]
+
+
+def test_h3_decision_matches_bar_witness():
+    # [Psi] = 0 on P exactly when the bar solve finds a witness, at m = 2 and
+    # m = 3; every phi when Hom_G(I_m, J) has at most 16 elements, else 8 draws
+    seen = set()
+    for name, params, ring in H3_CASES:
+        g = mixer32() if name == "mixer32" else catalog(name, params)
+        ctx = ObstructionContext(make_extension(g, ring), label=name)
+        assert ctx.ext.quotient.order <= 16
+        for m in (2, 3):
+            if ctx.hom_phi_basis(m)[1].span_size() <= 16:
+                phis = list(ctx.enumerate_phi(m))
+            else:
+                phis = list(ctx.random_phi(m, random.Random(m), 8))
+            for phi in phis:
+                psi = ctx.psi_generic(phi).psi_cocycle
+                zero = ctx.resolution.is_coboundary(psi)
+                assert zero == (ctx.r_complex.coboundary_witness(psi) is not None), (name, m)
+                seen.add(zero)
+    assert seen == {True, False}
+
+
+def test_h_k_decision_in_low_degrees():
+    # H^k((Z/q)^d, Z/q) = Hom_G(P_k, Z/q): the decision agrees with the bar
+    # solve on coboundaries, on cup monomials in the degree-1 classes, and it
+    # refuses non-cocycles and other coefficients
+    rng = random.Random(31)
+    for q, d in ((2, 2), (3, 2), (4, 1)):
+        ext = toral_extension(q, d)
+        res = CyclicTensorResolution(ext)
+        act = CoeffAction.trivial(ext.quotient, ext.ring)
+        cc = CochainComplex(act)
+        xs = [
+            Cochain.make(act, 1, {(g,): (ext.coords[g][i],) for g in ext.quotient.elements() if g})
+            for i in range(d)
+        ]
+        pair = multiplication_pairing(ext.ring)
+        for k in (1, 2, 3):
+            for _ in range(3):
+                f = differential(random_cochain(act, k - 1, rng, support=3))
+                assert res.is_coboundary(f)
+            for word in product(range(d), repeat=k):
+                f = xs[word[0]]
+                for i in word[1:]:
+                    f = cup(f, xs[i], pair, act)
+                assert res.is_coboundary(f) == (cc.coboundary_witness(f) is not None), (q, k)
+        assert not res.is_coboundary(Cochain.make(act, 0, {(): (1,)}))
+        with pytest.raises(NotACocycle):
+            res.is_coboundary(Cochain.make(act, 2, {(1, 1): (1,)}))
+        with pytest.raises(DimensionMismatch):
+            res.is_coboundary(Cochain.zero(act, 4))
+        with pytest.raises(DimensionMismatch):
+            res.is_coboundary(Cochain.zero(CoeffAction.trivial(catalog("quaternion8"), R2), 2))
 
 
 # -- cup products ---------------------------------------------------------------
@@ -575,7 +752,7 @@ def test_res_inf_is_coboundary():
     ext = make_extension(catalog("quaternion8"), R2)
     small = CochainComplex(CoeffAction.trivial(ext.quotient, R2))
     quo_act = CoeffAction.trivial(ext.quotient, R2)
-    for row in small.cocycle_basis(2).rows:
+    for row in cocycle_basis(small, 2).rows:
         f = small.unflat(row, 2)
         lifted = inflation(ext.total, ext.projection, f)
         res = restriction(ext.kernel, lifted)
@@ -904,7 +1081,7 @@ def test_connecting_level2_equals_dual_basis_cup_sum():
             rho[s - 1] = 1
             rhos.append(imod.project_vec(tuple(rho)))
         checked = 0
-        for row in cc_quot.cocycle_basis(2).rows:
+        for row in cocycle_basis(cc_quot, 2).rows:
             coeffs = [
                 v // (R2.modulus // ses.quot.module.orders[i % ses.quot.module.rank])
                 for i, v in enumerate(row)

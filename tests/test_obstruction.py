@@ -9,7 +9,7 @@ import pytest
 from helpers import mixer32
 from soclecoh import gmodule
 from soclecoh.cohomology import CochainComplex, cup, is_cocycle, multiplication_pairing
-from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, WrongLevel
+from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import vec_reduce
 from soclecoh.obstruction import ObstructionContext
@@ -127,13 +127,33 @@ def test_i_m_built_once_per_level(monkeypatch):
     assert calls == [2]
 
 
+def test_psi_generic_rejects_a_non_cocycle(monkeypatch):
+    # the H^3 decision keeps the cocycle guard: a Psi changed at one tuple fails it
+    from soclecoh import obstruction
+    from soclecoh.cohomology import Cochain
+
+    build = obstruction.connecting
+
+    def perturbed(ses, f):
+        psi = build(ses, f)
+        return psi.add(Cochain.make(psi.action, 3, {(1, 2, 3): (1,)}))
+
+    ctx = ctx_for("quaternion8")
+    phis = list(ctx.enumerate_phi(2))
+    monkeypatch.setattr(obstruction, "connecting", perturbed)
+    for phi in phis:
+        with pytest.raises(NotACocycle):
+            ctx.psi_generic(phi)
+
+
 def test_psi_zero_map():
     ctx = ctx_for("quaternion8")
     phi = ctx.phi_from_matrix(2, ((0,), (0,)))
     res = ctx.psi_generic(phi)
+    witness = ctx.r_complex.coboundary_witness(res.psi_cocycle)
     assert res.psi_cocycle.is_zero()
     assert res.is_zero_class
-    assert res.witness.is_zero()
+    assert witness.is_zero()
 
 
 def test_psi_q8_nonzero_maps_have_nonzero_class():
@@ -493,5 +513,6 @@ def test_psi_witness_actually_bounds_psi():
         for gamma in ctx.enumerate_jm(2):
             phi = ctx.phi_from_gamma(gamma, 2)
             res = ctx.psi_generic(phi)
-            assert res.witness is not None
-            assert differential(res.witness).same_values(res.psi_cocycle)
+            witness = ctx.r_complex.coboundary_witness(res.psi_cocycle)
+            assert witness is not None
+            assert differential(witness).same_values(res.psi_cocycle)
