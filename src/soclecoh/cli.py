@@ -181,14 +181,33 @@ def cmd_socle(args) -> int:
     return EXIT_OK
 
 
+def _phi_matrix(spec, m):
+    """The matrix rows of a phi file's spec {"m": int (optional), "matrix": [[int]]}."""
+    if not isinstance(spec, dict):
+        raise ValueError("phi spec must be a JSON object")
+    for key in spec:
+        if key not in ("m", "matrix"):
+            raise ValueError(f"unknown key {key!r} in the phi spec")
+    if type(spec.get("m", m)) is not int:
+        raise ValueError(f"phi level {spec['m']!r} is not an integer")
+    if spec.get("m", m) != m:
+        raise ValueError(f"phi file is for level {spec['m']}, run asked {m}")
+    matrix = spec.get("matrix")
+    if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+        raise ValueError("phi matrix must be a list of lists")
+    for row in matrix:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"phi matrix entry {x!r} is not an integer")
+    return [tuple(r) for r in matrix]
+
+
 def _phi_records(ctx, args):
     m = args.m
     if args.phi_file:
         with open(args.phi_file) as fh:
             spec = json.load(fh)
-        if spec.get("m", m) != m:
-            raise ValueError(f"phi file is for level {spec.get('m')}, run asked {m}")
-        yield ctx.phi_from_matrix(m, [tuple(r) for r in spec["matrix"]])
+        yield ctx.phi_from_matrix(m, _phi_matrix(spec, m))
     elif args.random is not None:
         if args.seed is None:
             raise ValueError("--random needs --seed")

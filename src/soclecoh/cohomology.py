@@ -27,8 +27,6 @@ from .errors import (
     DimensionMismatch,
     EquivarianceFailure,
     NotACocycle,
-    PairingMismatch,
-    SectionNotLinear,
     SizeBound,
     SocleCohError,
 )
@@ -282,42 +280,26 @@ class CochainComplex:
                 values[tup] = vec
         return Cochain(self.action, k, values)
 
-    def _matrix(self, k: int, last: tuple) -> LinearSolver:
-        """Howell solver for d: C^k -> C^{k+1} cut, row by row as differential
-        yields it, to the columns whose last argument lies in last.  The bound
-        counts the entries differential yields before any row is built: per
-        row, t coordinates for each first face g.f(..), one for the last face
-        and one for each of the k inner faces."""
-        key = (k, last)
-        if key not in self._solvers:
+    def solver(self, k: int) -> LinearSolver:
+        """Howell solver for d: C^k -> C^{k+1} (image, kernel, witnesses),
+        built row by row as differential yields it.  The bound counts the
+        entries differential yields before any row is built: per row, t
+        coordinates for each first face g.f(..), one for the last face and
+        one for each of the k inner faces."""
+        if k not in self._solvers:
             entries = self.dim(k) * self.n1 * (self.t + k + 1)
             if entries > DEFAULT_RANK_CELLS:
-                cut = "" if len(last) == self.n1 else "generator-restricted "
-                what = f"{cut}degree-{k} differential matrix (estimated entries)"
+                what = f"degree-{k} differential matrix (estimated entries)"
                 raise SizeBound(what, DEFAULT_RANK_CELLS, entries)
             ring = self.action.module.ring
             units = mat_identity(self.action.module.orders)
-            scale = [ring.modulus // o for o in self.action.module.orders]
-            slot = {g: i for i, g in enumerate(last)}
-            rows = []
-            for tup in self.basis_tuples(k):
-                for unit in units:
-                    row = {}
-                    df = differential(Cochain(self.action, k, {tup: unit}))
-                    for out, vec in df.values.items():
-                        i = slot.get(out[-1])
-                        if i is not None:
-                            base = (self.tuple_index(out[:-1]) * len(last) + i) * self.t
-                            for j, v in enumerate(vec):
-                                if v:
-                                    row[base + j] = v * scale[j] % ring.modulus
-                    rows.append(row)
-            self._solvers[key] = LinearSolver(rows, self.grid(k) * len(last) * self.t, ring)
-        return self._solvers[key]
-
-    def solver(self, k: int) -> LinearSolver:
-        """Howell solver for d: C^k -> C^{k+1} (image, kernel, witnesses)."""
-        return self._matrix(k, self.nonid)
+            rows = [
+                self.flat(differential(Cochain(self.action, k, {tup: unit})))
+                for tup in self.basis_tuples(k)
+                for unit in units
+            ]
+            self._solvers[k] = LinearSolver(rows, self.dim(k + 1), ring)
+        return self._solvers[k]
 
     def coboundary_witness(self, f: Cochain):
         """Canonical w with dw = f, or None; f must be a cocycle."""
@@ -342,6 +324,12 @@ def _exponent_vectors(k: int, d: int):
     if d == 0:
         return [()] if k == 0 else []
     return [(j,) + rest for j in range(k, -1, -1) for rest in _exponent_vectors(k - j, d - 1)]
+
+
+def _is_trivial_zq(act: CoeffAction, group: FinGroup, q: int) -> bool:
+    """Does act carry trivial Z/q coefficients on group?"""
+    ident = ((1,),)
+    return act.group is group and act.module.orders == (q,) and all(m == ident for m in act.mats)
 
 
 class CyclicTensorResolution:
@@ -411,11 +399,7 @@ class CyclicTensorResolution:
         """Is the Z/q-valued cocycle f of degree <= 3 a coboundary?
 
         Raises NotACocycle when f is not a cocycle."""
-        act = f.action
-        ident = mat_identity((self.modulus,))
-        if act.group is not self.group or act.module.orders != (self.modulus,) or any(
-            m != ident for m in act.mats
-        ):
+        if not _is_trivial_zq(f.action, self.group, self.modulus):
             raise DimensionMismatch("the H^k decision needs trivial Z/q coefficients on G")
         if f.degree >= len(self.chain_map):
             raise DimensionMismatch(f"the chain map stops at degree {len(self.chain_map) - 1}")
@@ -429,155 +413,60 @@ class CyclicTensorResolution:
 
 
 # ---------------------------------------------------------------------------
-# Cup products.
+# Cup products and the connecting map, on the coefficients they serve.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """G-equivariant bilinear map M x N -> P given by its basis tensor.
+def cup(f: Cochain, h: Cochain) -> Cochain:
+    """(f cup h)(g_1..g_{p+q}) = f(g_1..g_p) h(g_{p+1}..g_{p+q}) mod q.
 
-    tensor[a][b] is the P-coordinate vector of e_a^M paired with e_b^N.
-    """
-
-    left: GModule
-    right: GModule
-    target: GModule
-    tensor: tuple
-
-    def __post_init__(self):
-        tm, tn, tp = self.left.rank, self.right.rank, self.target.rank
-        if len(self.tensor) != tm or any(len(r) != tn for r in self.tensor):
-            raise PairingMismatch("tensor shape mismatch")
-        for a in range(tm):
-            for b in range(tn):
-                vec = self.tensor[a][b]
-                if len(vec) != tp:
-                    raise PairingMismatch("tensor value length mismatch")
-                g = min(self.left.orders[a], self.right.orders[b])
-                for j, v in enumerate(vec):
-                    if (g * v) % self.target.orders[j]:
-                        raise PairingMismatch("pairing not well-defined on the modules")
-        ngen = len(self.left.actions)
-        for i in range(ngen):
-            for a in range(tm):
-                ea = tuple(1 if x == a else 0 for x in range(tm))
-                for b in range(tn):
-                    eb = tuple(1 if x == b else 0 for x in range(tn))
-                    lhs = self.target.act(self.apply(ea, eb), i)
-                    rhs = self.apply(self.left.act(ea, i), self.right.act(eb, i))
-                    if lhs != rhs:
-                        raise PairingMismatch(
-                            f"pairing not equivariant for generator {i} at ({a},{b})"
-                        )
-
-    def apply(self, m, n):
-        tp = self.target.rank
-        out = [0] * tp
-        for a, x in enumerate(m):
-            if x:
-                row = self.tensor[a]
-                for b, y in enumerate(n):
-                    if y:
-                        vec = row[b]
-                        for j in range(tp):
-                            if vec[j]:
-                                out[j] += x * y * vec[j]
-        return tuple(v % o for v, o in zip(out, self.target.orders))
-
-
-def multiplication_pairing(ring: RingConfig) -> Pairing:
-    r = trivial_module(ring)
-    return Pairing(r, r, r, (((1,),),))
-
-
-def cup(f: Cochain, h: Cochain, pairing: Pairing, target_action: CoeffAction) -> Cochain:
-    """(f cup h)(g_1..g_{p+q}) = pair(f(g_1..g_p), (g_1...g_p) . h(rest))."""
-    if f.action.group is not h.action.group:
-        raise PairingMismatch("cup factors live on different groups")
+    Both factors carry trivial Z/q coefficients on the same group, so the
+    prefix product acts as the identity on h's values; distinct pairs of
+    support tuples concatenate to distinct tuples."""
+    q = f.action.module.ring.modulus
     grp = f.action.group
-    orders = target_action.module.orders
-    out = {}
-    for tf, vf in f.values.items():
-        pref = grp.identity
-        for g in tf:
-            pref = grp.mul(pref, g)
-        for th, vh in h.values.items():
-            moved = h.action.act(pref, vh)
-            val = pairing.apply(vf, moved)
-            if not any(val):
-                continue
-            tup = tf + th
-            cur = out.get(tup)
-            if cur is None:
-                out[tup] = list(val)
-            else:
-                for i, x in enumerate(val):
-                    cur[i] += x
+    if not (_is_trivial_zq(f.action, grp, q) and _is_trivial_zq(h.action, grp, q)):
+        raise DimensionMismatch("cup needs trivial Z/q coefficients on one group")
     values = {}
-    for tup, vec in out.items():
-        rv = tuple(x % o for x, o in zip(vec, orders))
-        if any(rv):
-            values[tup] = rv
-    return Cochain(target_action, f.degree + h.degree, values)
-
-
-# ---------------------------------------------------------------------------
-# Connecting homomorphism.
-# ---------------------------------------------------------------------------
+    for tf, (a,) in f.values.items():
+        for th, (b,) in h.values.items():
+            v = a * b % q
+            if v:
+                values[tf + th] = (v,)
+    return Cochain(f.action, f.degree + h.degree, values)
 
 
 class CoefficientSES:
-    """Short exact sequence 0 -> sub -> mid -> quot -> 0 with R-linear section.
+    """The split sequence 0 -> Z/q -> mid -> quot -> 0.
 
-    incl/proj must be equivariant module maps; the section need only be
-    R-linear (that failure to be equivariant is what the connecting map
-    measures).
+    Coordinate 0 of mid carries the trivial submodule sub = Z/q and
+    coordinates 1.. carry quot; the section f |-> (0, f) is R-linear, and
+    its failure to be equivariant is what the connecting map measures.  The
+    inclusion and projection are equivariant exactly when each element's
+    mid matrix fixes e_0 and induces quot's matrix on coordinates 1..
     """
 
-    def __init__(self, sub: CoeffAction, mid: CoeffAction, quot: CoeffAction, incl, proj, section):
-        self.sub, self.mid, self.quot = sub, mid, quot
-        self.incl, self.proj, self.section = incl, proj, section
-        q = mid.module.ring.modulus
-        so, mo, qo = sub.module.orders, mid.module.orders, quot.module.orders
-        for k in range(len(qo)):
-            for j in range(len(mo)):
-                if (qo[k] * section[k][j]) % mo[j]:
-                    raise SectionNotLinear("section is not a well-defined R-linear map")
-        comp = mat_mul(section, proj, qo)
-        if comp != tuple(tuple(1 if i == j else 0 for j in range(len(qo))) for i in range(len(qo))):
-            raise SectionNotLinear("section does not split the projection")
-        grp = mid.group
-        for x in grp.elements():
-            li = mat_mul(sub.mats[x], incl, mo)
-            ri = mat_mul(incl, mid.mats[x], mo)
-            if li != ri:
-                raise SocleCohError("inclusion is not equivariant")
-            lp = mat_mul(mid.mats[x], proj, qo)
-            rp = mat_mul(proj, quot.mats[x], qo)
-            if lp != rp:
-                raise SocleCohError("projection is not equivariant")
-        if any(any(r) for r in mat_mul(incl, proj, qo)):
-            raise SocleCohError("inclusion composed with projection is nonzero")
-        if sub.module.size() * quot.module.size() != mid.module.size():
-            raise SocleCohError("sequence is not exact in the middle")
-        rows = []
+    def __init__(self, mid: CoeffAction, quot: CoeffAction):
         ring = mid.module.ring
-        for k in range(len(so)):
-            rows.append(tuple(incl[k][j] * (q // mo[j]) % q for j in range(len(mo))))
-        self._incl_solver = LinearSolver(rows, len(mo), ring)
-        if self._incl_solver.kernel_row_tuples():
-            ker = self._incl_solver.kernel_row_tuples()
-            if any(any(v % o for v, o in zip(r, so)) for r in ker):
-                raise SocleCohError("inclusion is not injective")
+        self.sub = CoeffAction.trivial(mid.group, ring)
+        self.mid, self.quot = mid, quot
+        mo, qo = mid.module.orders, quot.module.orders
+        if mo != (ring.modulus,) + qo:
+            raise SocleCohError("middle orders are not (q,) followed by the quotient's")
+        e0 = (1,) + (0,) * len(qo)
+        for x in mid.group.elements():
+            mat = mid.mats[x]
+            if vec_reduce(mat[0], mo) != e0:
+                raise SocleCohError("inclusion is not equivariant")
+            if any(
+                vec_reduce(row[1:], qo) != vec_reduce(qrow, qo)
+                for row, qrow in zip(mat[1:], quot.mats[x])
+            ):
+                raise SocleCohError("projection is not equivariant")
 
     def pull_back(self, v):
         """sub coordinates of a mid vector, or None outside the image of incl."""
-        q = self.mid.module.ring.modulus
-        mo = self.mid.module.orders
-        b = [x * (q // o) % q for x, o in zip(v, mo)]
-        c = self._incl_solver.solve(b)
-        return None if c is None else vec_reduce(c, self.sub.module.orders)
+        return None if any(v[1:]) else (v[0] % self.sub.module.ring.modulus,)
 
 
 def connecting(ses: CoefficientSES, f: Cochain) -> Cochain:
@@ -589,11 +478,7 @@ def connecting(ses: CoefficientSES, f: Cochain) -> Cochain:
     """
     if f.action is not ses.quot and f.action.module is not ses.quot.module:
         raise DimensionMismatch("cochain does not take values in the quotient module")
-    lifted = Cochain.make(
-        ses.mid,
-        f.degree,
-        {t: mat_apply(v, ses.section, ses.mid.module.orders) for t, v in f.values.items()},
-    )
+    lifted = Cochain.make(ses.mid, f.degree, {t: (0,) + v for t, v in f.values.items()})
     values = {}
     for t, v in differential(lifted).values.items():
         c = ses.pull_back(v)

@@ -60,14 +60,6 @@ class NotACocycle(SocleCohError):
     """A cochain presented as a cocycle has a nonzero differential."""
 
 
-class SectionNotLinear(SocleCohError):
-    """A claimed R-linear section is not a well-defined module map."""
-
-
-class PairingMismatch(SocleCohError):
-    """Cup-product pairing is not bilinear/equivariant over the given modules."""
-
-
 class EquivarianceFailure(SocleCohError):
     """A map that must commute with the group action does not; carries a witness."""
 

@@ -36,7 +36,6 @@ from .cohomology import (
     d2_on_E01,
     extension_cocycle,
     inflation_h2_surjective,
-    multiplication_pairing,
 )
 from .errors import (
     EquivarianceFailure,
@@ -63,7 +62,6 @@ from .gmodule import (
     random_scaled_span_element,
     scale_vec,
     scaled_span,
-    trivial_module,
     vec_reduce,
 )
 from .zmodlin import (
@@ -193,20 +191,8 @@ class ObstructionContext:
     def dual_sequence(self, m: int) -> CoefficientSES:
         """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1)=0 section."""
         if m not in self._ses:
-            lamv = dual(self.em.lambda_m(m).module)
-            rmod = trivial_module(self.ring, None, ngens=self.ext.d)
-            sub = action_for_quotient_module(self.ext, rmod)
-            mid = action_for_quotient_module(self.ext, lamv)
-            quot = self.im_dual_action(m)
-            t = self.im_dual(m).rank
-            incl = ((1,) + (0,) * t,)
-            proj = tuple(
-                tuple(1 if j == i - 1 else 0 for j in range(t)) for i in range(t + 1)
-            )
-            section = tuple(
-                tuple(1 if j == i + 1 else 0 for j in range(t + 1)) for i in range(t)
-            )
-            self._ses[m] = CoefficientSES(sub, mid, quot, incl, proj, section)
+            mid = action_for_quotient_module(self.ext, dual(self.em.lambda_m(m).module))
+            self._ses[m] = CoefficientSES(mid, self.im_dual_action(m))
         return self._ses[m]
 
     def hom_phi_basis(self, m: int):
@@ -315,7 +301,6 @@ class ObstructionContext:
         jb = self.em.j
         q = self.ring.modulus
         xs = self.dual_basis_cochains()
-        pair = multiplication_pairing(self.ring)
         total = Cochain.zero(self.r_action, 3)
         for i, sigma in enumerate(self.ext.sigma):
             rho = [0] * (self.ext.quotient.order - 1)
@@ -325,7 +310,7 @@ class ObstructionContext:
                 ((q // jb.hab.orders[k]) * gamma_i[k] % q,) for k in range(jb.hab.rank)
             )
             xi = d2_on_E01(self.alpha, xmat, self.r_action)
-            total = total.add(cup(xs[i], xi, pair, self.r_action), sign=-1)
+            total = total.add(cup(xs[i], xi), sign=-1)
         return total
 
     def obstruction_with_routes(self, phi: PhiMap, include_m2: bool | None = None) -> ObstructionResult:

@@ -11,11 +11,14 @@ from soclecoh.cohomology import (
     DEFAULT_H2_MAX_ORDER,
     CochainComplex,
     CoeffAction,
+    Cochain,
+    differential,
     inflation,
 )
 from soclecoh.errors import SizeBound
 from soclecoh.fingroup import from_cayley_table
-from soclecoh.zmodlin import HowellBasis, howell_form_rows, quotient_orders
+from soclecoh.gmodule import mat_identity
+from soclecoh.zmodlin import HowellBasis, LinearSolver, howell_form_rows, quotient_orders
 
 
 def mixer32():
@@ -84,15 +87,29 @@ def cocycle_basis(cc: CochainComplex, k: int) -> HowellBasis:
 
     For F = df, dF(g_1..g_k, x, y) = 0 reduces to F(g_1..g_k, xy) = 0 once F
     vanishes at the last arguments x and y, so those close under products.
+    Row by row, differential evaluates d of each basis vector on that cut.
     """
-    q = cc.action.module.ring.modulus
-    orders = cc.action.module.orders
-    s = cc._matrix(k, cc.action.group.generators)
+    act = cc.action
+    ring = act.module.ring
+    q = ring.modulus
+    orders = act.module.orders
+    gens = act.group.generators
+    slot = {g: i for i, g in enumerate(gens)}
+    rows = []
+    for tup in cc.basis_tuples(k):
+        for unit in mat_identity(orders):
+            row = {}
+            for out, vec in differential(Cochain(act, k, {tup: unit}), gens).values.items():
+                base = (cc.tuple_index(out[:-1]) * len(gens) + slot[out[-1]]) * cc.t
+                for j, v in enumerate(vec):
+                    if v:
+                        row[base + j] = v * (q // orders[j]) % q
+            rows.append(row)
+    kernel = LinearSolver(rows, cc.grid(k) * len(gens) * cc.t, ring).kernel_row_tuples()
     scaled = [
-        tuple(v * (q // orders[i % cc.t]) % q for i, v in enumerate(row))
-        for row in s.kernel_row_tuples()
+        tuple(v * (q // orders[i % cc.t]) % q for i, v in enumerate(row)) for row in kernel
     ]
-    return howell_form_rows(scaled, cc.dim(k), cc.action.module.ring)
+    return howell_form_rows(scaled, cc.dim(k), ring)
 
 
 def coboundary_basis(cc: CochainComplex, k: int) -> HowellBasis:
@@ -106,7 +123,8 @@ def coboundary_basis(cc: CochainComplex, k: int) -> HowellBasis:
 def cohomology_rank(action: CoeffAction, k: int):
     """Cyclic orders of H^k = ker d_k / im d_{k-1}, descending."""
     cc = CochainComplex(action)
-    return quotient_orders(cocycle_basis(cc, k), coboundary_basis(cc, k))
+    b = coboundary_basis(cc, k)  # the bar solver's entry bound trips first
+    return quotient_orders(cocycle_basis(cc, k), b)
 
 
 def bar_inflation_h2(ext, max_order=DEFAULT_H2_MAX_ORDER):

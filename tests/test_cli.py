@@ -321,6 +321,38 @@ def test_exit_2_on_json_type_holes(tmp_path, case):
     assert elapsed < 5
 
 
+# Phi files whose JSON shape or types are wrong: each exits 2 with its reason
+# and no traceback, on quaternion8 at m = 2 (I_2 has rank 2, J rank 1).
+PHI_JSON_HOLES = {
+    "list_top_level": ([1, 2], "phi spec must be a JSON object"),
+    "string_top_level": ("x", "phi spec must be a JSON object"),
+    "null_top_level": (None, "phi spec must be a JSON object"),
+    "bool_entries": ({"matrix": [[True], [False]]}, "phi matrix entry True is not an integer"),
+    "float_entry": ({"matrix": [[1.5], [0]]}, "phi matrix entry 1.5 is not an integer"),
+    "float_level": ({"m": 2.0, "matrix": [[0], [0]]}, "phi level 2.0 is not an integer"),
+    "string_level": ({"m": "2", "matrix": [[0], [0]]}, "phi level '2' is not an integer"),
+    "other_level": ({"m": 3, "matrix": [[0], [0]]}, "phi file is for level 3, run asked 2"),
+    "unknown_key": ({"matrix": [[0], [0]], "extra": 1}, "unknown key 'extra' in the phi spec"),
+    "no_matrix": ({"m": 2}, "phi matrix must be a list of lists"),
+    "flat_matrix": ({"matrix": [0, 0]}, "phi matrix must be a list of lists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHI_JSON_HOLES))
+def test_exit_2_on_phi_json_holes(tmp_path, case):
+    spec, reason = PHI_JSON_HOLES[case]
+    pf = tmp_path / "phi.json"
+    pf.write_text(json.dumps(spec))
+    proc, elapsed = run_process(
+        "obstruction", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
+        "--phi-file", str(pf),
+    )
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
+
+
 def test_order_512_group_builds_quickly():
     # the largest order the bound admits; its table is built and validated in
     # O(n^2·|S|), where the cubic associativity scan took about 8 s

@@ -23,7 +23,6 @@ from soclecoh.cohomology import (
     inflation,
     inflation_h2_surjective,
     is_cocycle,
-    multiplication_pairing,
     restriction,
 )
 from soclecoh.errors import (
@@ -31,9 +30,9 @@ from soclecoh.errors import (
     EquivarianceFailure,
     InconsistentPresentation,
     NotACocycle,
-    PairingMismatch,
     QuotientNotFree,
     SizeBound,
+    SocleCohError,
 )
 from soclecoh.fingroup import (
     Subgroup,
@@ -416,9 +415,7 @@ def test_z2_generator_route_matches_full_bar_nontrivial_module():
 def test_z2_size_bound(monkeypatch):
     monkeypatch.setattr(cohomology, "DEFAULT_RANK_CELLS", 50)
     cc = CochainComplex(trivial_action("quaternion8", R2))
-    # the estimate is 7^2 rows of at most 4 faces x 7 entries, for either matrix
-    with pytest.raises(SizeBound, match="generator-restricted degree-2 differential"):
-        cocycle_basis(cc, 2)
+    # the estimate is 7^2 rows of at most 4 faces x 7 entries
     full = r"^size bound exceeded for degree-2 differential matrix \(estimated entries\)"
     with pytest.raises(SizeBound, match=full + ": limit 50, got 1372$"):
         cc.solver(2)
@@ -562,7 +559,6 @@ def test_h_k_decision_in_low_degrees():
             Cochain.make(act, 1, {(g,): (ext.coords[g][i],) for g in ext.quotient.elements() if g})
             for i in range(d)
         ]
-        pair = multiplication_pairing(ext.ring)
         for k in (1, 2, 3):
             for _ in range(3):
                 f = differential(random_cochain(act, k - 1, rng, support=3))
@@ -570,7 +566,7 @@ def test_h_k_decision_in_low_degrees():
             for word in product(range(d), repeat=k):
                 f = xs[word[0]]
                 for i in word[1:]:
-                    f = cup(f, xs[i], pair, act)
+                    f = cup(f, xs[i])
                 assert res.is_coboundary(f) == (cc.coboundary_witness(f) is not None), (q, k)
         assert not res.is_coboundary(Cochain.make(act, 0, {(): (1,)}))
         with pytest.raises(NotACocycle):
@@ -602,14 +598,13 @@ def test_cup_with_zero():
     act = CoeffAction.trivial(ext.quotient, R2)
     x = one_cochains_basis(ext)[0]
     z = Cochain.zero(act, 1)
-    assert cup(x, z, multiplication_pairing(R2), act).is_zero()
+    assert cup(x, z).is_zero()
 
 
 def test_cup_x_with_x_nonzero_class_on_z2():
     ext = make_extension(catalog("cyclic", {"ell": 2, "k": 2}), R2)
-    act = CoeffAction.trivial(ext.quotient, R2)
     (x,) = one_cochains_basis(ext)
-    xx = cup(x, x, multiplication_pairing(R2), act)
+    xx = cup(x, x)
     assert is_cocycle(xx)
     assert CochainComplex(xx.action).coboundary_witness(xx) is None
 
@@ -618,42 +613,53 @@ def test_cup_leibniz_random():
     rng = random.Random(17)
     g = catalog("elementary_abelian", {"ell": 3, "d": 2})
     act = CoeffAction.trivial(g, R3)
-    pair = multiplication_pairing(R3)
     for _ in range(15):
         p, q = rng.choice([(1, 1), (1, 2), (2, 1)])
         f = random_cochain(act, p, rng)
         h = random_cochain(act, q, rng)
-        lhs = differential(cup(f, h, pair, act))
+        lhs = differential(cup(f, h))
         sign = -1 if p % 2 else 1
-        rhs = cup(differential(f), h, pair, act).add(
-            cup(f, differential(h), pair, act), sign=sign
-        )
+        rhs = cup(differential(f), h).add(cup(f, differential(h)), sign=sign)
         assert lhs.same_values(rhs)
 
 
 def test_cup_graded_commutativity_up_to_coboundary():
     g = catalog("elementary_abelian", {"ell": 3, "d": 2})
     act = CoeffAction.trivial(g, R3)
-    pair = multiplication_pairing(R3)
     cc = CochainComplex(act)
     ext = make_extension(g, R3)
     xs = one_cochains_basis(ext)
     for x in xs:
         for y in xs:
-            xy = cup(x, y, pair, act)
-            yx = cup(y, x, pair, act)
+            xy = cup(x, y)
+            yx = cup(y, x)
             diff = xy.add(yx)  # degree 1*1: f u h = -h u f up to coboundary
             assert cc.coboundary_witness(diff) is not None
 
 
-def test_pairing_validation():
-    m = trivial_module(R2, (2,), 1)
-    swap = dual(m)
-    with pytest.raises(PairingMismatch):
-        # wrong tensor shape
-        from soclecoh.cohomology import Pairing
-
-        Pairing(m, m, m, ())
+def test_cup_refuses_other_coefficients():
+    # cup multiplies Z/q values on one group: a factor on another group, with
+    # J values, with Z/2 values over Z/4, or with a nontrivial action on Z/q
+    # is refused, in either position
+    ext = make_extension(catalog("quaternion8"), R2)
+    x = one_cochains_basis(ext)[0]
+    mixer = make_extension(mixer32(), R2)
+    j = action_for_quotient_module(mixer, ExtensionModules(mixer).j.module)
+    c2 = catalog("cyclic", {"ell": 2, "k": 1})
+    half = CoeffAction(c2, trivial_module(R4, (2,)), (((1,),), ((1,),)))
+    sign = CoeffAction(c2, trivial_module(R4), (((1,),), ((3,),)))
+    z4 = Cochain.make(CoeffAction.trivial(c2, R4), 1, {(1,): (1,)})
+    pairs = [
+        (x, Cochain.zero(CoeffAction.trivial(ext.total, R2), 1)),
+        (Cochain.zero(j, 1), one_cochains_basis(mixer)[0]),
+        (z4, Cochain.make(half, 1, {(1,): (1,)})),
+        (z4, Cochain.make(sign, 1, {(1,): (1,)})),
+    ]
+    assert not cup(z4, z4).is_zero()
+    for f, h in pairs:
+        for a, b in ((f, h), (h, f)):
+            with pytest.raises(DimensionMismatch, match="trivial Z/q coefficients on one group"):
+                cup(a, b)
 
 
 # -- connecting homomorphism ------------------------------------------------------
@@ -661,23 +667,9 @@ def test_pairing_validation():
 
 def dual_sequence(em, m):
     """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1) = 0 section."""
-    ext = em.ext
-    ring = em.ring
-    lamv = dual(em.lambda_m(m).module)
-    imv = dual(em.i_m(m).module)
-    rmod = trivial_module(ring, None, ngens=len(lamv.actions))
-    sub = action_for_quotient_module(ext, rmod)
-    mid = action_for_quotient_module(ext, lamv)
-    quot = action_for_quotient_module(ext, imv)
-    t = imv.rank
-    incl = ((1,) + (0,) * t,)
-    proj = tuple(
-        tuple(1 if j == i - 1 else 0 for j in range(t)) for i in range(t + 1)
-    )
-    section = tuple(
-        tuple(1 if j == i + 1 else 0 for j in range(t + 1)) for i in range(t)
-    )
-    return CoefficientSES(sub, mid, quot, incl, proj, section)
+    mid = action_for_quotient_module(em.ext, dual(em.lambda_m(m).module))
+    quot = action_for_quotient_module(em.ext, dual(em.i_m(m).module))
+    return CoefficientSES(mid, quot)
 
 
 def test_connecting_zero():
@@ -687,26 +679,49 @@ def test_connecting_zero():
     assert connecting(ses, z).is_zero()
 
 
+def test_coefficient_ses_refuses_non_equivariant_maps():
+    # a middle module whose action moves e_0 (the inclusion of R is not
+    # equivariant), or does not induce I_m^vee's action on coordinates 1..
+    # (the projection is not), or whose orders do not split as (q,) + I_m^vee
+    ses = dual_sequence(ExtensionModules(make_extension(catalog("quaternion8"), R2)), 2)
+    mid = ses.mid
+    x = 1
+
+    def with_row(i, row):
+        mats = list(mid.mats)
+        mats[x] = mats[x][:i] + (row,) + mats[x][i + 1 :]
+        return CoeffAction(mid.group, mid.module, tuple(mats))
+
+    row0, row1 = mid.mats[x][0], mid.mats[x][1]
+    moves_e0 = with_row(0, row0[:1] + ((row0[1] + 1) % 2,) + row0[2:])
+    with pytest.raises(SocleCohError, match="inclusion is not equivariant"):
+        CoefficientSES(moves_e0, ses.quot)
+    other_quot = with_row(1, row1[:1] + ((row1[1] + 1) % 2,) + row1[2:])
+    with pytest.raises(SocleCohError, match="projection is not equivariant"):
+        CoefficientSES(other_quot, ses.quot)
+    # the quotient's own cocycle part, column 0 of rows 1.., may be anything
+    CoefficientSES(with_row(1, ((row1[0] + 1) % 2,) + row1[1:]), ses.quot)
+    with pytest.raises(SocleCohError, match="middle orders"):
+        CoefficientSES(ses.quot, ses.quot)
+
+
 def test_connecting_section_independence():
+    # another R-linear section f |-> (b(f), f) moves delta f by d(b . f):
+    # lift by it, differentiate once, and read coordinate 0
     rng = random.Random(31)
     em = ExtensionModules(make_extension(catalog("quaternion8"), R2))
     ses = dual_sequence(em, 2)
-    t = ses.quot.module.rank
-    # a second R-linear section: add an R-linear map into the subline
-    bump = tuple(
-        (rng.randrange(2),) + tuple(0 for _ in range(t)) for _ in range(t)
-    )
-    section2 = tuple(
-        tuple((a + b) % 2 for a, b in zip(row, extra))
-        for row, extra in zip(ses.section, bump)
-    )
-    ses2 = CoefficientSES(ses.sub, ses.mid, ses.quot, ses.incl, ses.proj, section2)
+    bump = [rng.randrange(2) for _ in range(ses.quot.module.rank)]
     cc = CochainComplex(ses.sub)
     for _ in range(6):
-        w = random_cochain(ses.quot, 1, rng)
-        f = differential(w)  # a 2-cocycle, in fact a coboundary
+        f = differential(random_cochain(ses.quot, 1, rng))  # a 2-cocycle
+        lifted = Cochain.make(
+            ses.mid, 2, {t: (sum(b * v for b, v in zip(bump, vec)),) + vec for t, vec in f.values.items()}
+        )
+        dl = differential(lifted)
+        assert not any(any(vec[1:]) for vec in dl.values.values())
+        d2c = Cochain.make(ses.sub, 3, {t: vec[:1] for t, vec in dl.values.items()})
         d1 = connecting(ses, f)
-        d2c = connecting(ses2, f)
         assert cc.coboundary_witness(d1.add(d2c.neg())) is not None
 
 
@@ -787,9 +802,8 @@ def test_d2_q8_matches_classifying_class():
     act = CoeffAction.trivial(ext.quotient, R2)
     d2chi = d2_on_E01(ec, ((1,),), act)
     xs = one_cochains_basis(ext)
-    pair = multiplication_pairing(R2)
     cc = CochainComplex(act)
-    monomials = [cup(xs[0], xs[0], pair, act), cup(xs[0], xs[1], pair, act), cup(xs[1], xs[1], pair, act)]
+    monomials = [cup(xs[0], xs[0]), cup(xs[0], xs[1]), cup(xs[1], xs[1])]
     matches = []
     for bits in product(range(2), repeat=3):
         cand = Cochain.zero(act, 2)
@@ -1074,7 +1088,6 @@ def test_connecting_level2_equals_dual_basis_cup_sum():
         imod = em.i_m(2)
         cc_quot = CochainComplex(ses.quot)
         xs = ctx.dual_basis_cochains()
-        pair = multiplication_pairing(R2)
         rhos = []
         for s in ext.sigma:
             rho = [0] * (ext.quotient.order - 1)
@@ -1096,7 +1109,7 @@ def test_connecting_level2_equals_dual_basis_cup_sum():
                     if val:
                         values[tup] = (val,)
                 xi_i = Cochain.make(ctx.r_action, 2, values)
-                total = total.add(cup(xs[i], xi_i, pair, ctx.r_action), sign=-1)
+                total = total.add(cup(xs[i], xi_i), sign=-1)
             diff = delta.add(total.neg())
             assert ctx.r_complex.coboundary_witness(diff) is not None, name
             checked += 1

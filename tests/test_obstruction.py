@@ -8,12 +8,12 @@ import pytest
 
 from helpers import mixer32
 from soclecoh import gmodule
-from soclecoh.cohomology import CochainComplex, cup, is_cocycle, multiplication_pairing
+from soclecoh.cohomology import CochainComplex, cup, is_cocycle
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import vec_reduce
 from soclecoh.obstruction import ObstructionContext
-from soclecoh.zmodlin import HowellBasis, RingConfig
+from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig
 
 R2 = RingConfig(2, 1)
 R3 = RingConfig(3, 1)
@@ -127,6 +127,40 @@ def test_i_m_built_once_per_level(monkeypatch):
     assert calls == [2]
 
 
+PSI_CASES = [
+    ("quaternion8", R2, None, 2),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}, 2),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}, 3),
+    ("mixer32", R2, None, 2),
+]
+
+
+def test_psi_generic_builds_and_runs_no_solver(monkeypatch):
+    # once the context and the phis are built, Psi needs no linear solve: the
+    # connecting map reads coordinate 0 of d(section . d2), and the H^3
+    # decision sums Psi over phi_3
+    calls = []
+    solve, init = LinearSolver.solve, LinearSolver.__init__
+
+    def counted_solve(self, b):
+        calls.append("solve")
+        return solve(self, b)
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("__init__")
+        init(self, *args, **kwargs)
+
+    for name, ring, params, m in PSI_CASES:
+        ctx = ctx_for(name, ring, params)
+        phis = list(ctx.random_phi(m, random.Random(m), 6))
+        monkeypatch.setattr(LinearSolver, "solve", counted_solve)
+        monkeypatch.setattr(LinearSolver, "__init__", counted_init)
+        for phi in phis:
+            ctx.psi_generic(phi)
+        monkeypatch.undo()
+        assert phis and calls == [], (name, m)
+
+
 def test_psi_generic_rejects_a_non_cocycle(monkeypatch):
     # the H^3 decision keeps the cocycle guard: a Psi changed at one tuple fails it
     from soclecoh import obstruction
@@ -170,15 +204,13 @@ def test_psi_q8_nonzero_maps_have_nonzero_class():
 def test_psi_q8_classes_in_polynomial_basis():
     # the three nonzero maps give x^3+x^2y+xy^2, x^2y+xy^2+y^3, x^3+y^3
     ctx = ctx_for("quaternion8")
-    act = ctx.r_action
-    pair = multiplication_pairing(R2)
     xs = ctx.dual_basis_cochains()
     x, y = xs
     monos = {
-        "x3": cup(x, cup(x, x, pair, act), pair, act),
-        "x2y": cup(x, cup(x, y, pair, act), pair, act),
-        "xy2": cup(x, cup(y, y, pair, act), pair, act),
-        "y3": cup(y, cup(y, y, pair, act), pair, act),
+        "x3": cup(x, cup(x, x)),
+        "x2y": cup(x, cup(x, y)),
+        "xy2": cup(x, cup(y, y)),
+        "y3": cup(y, cup(y, y)),
     }
     cc = ctx.r_complex
 
