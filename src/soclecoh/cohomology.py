@@ -464,28 +464,28 @@ class CoefficientSES:
             ):
                 raise SocleCohError("projection is not equivariant")
 
-    def pull_back(self, v):
-        """sub coordinates of a mid vector, or None outside the image of incl."""
-        return None if any(v[1:]) else (v[0] % self.sub.module.ring.modulus,)
-
 
 def connecting(ses: CoefficientSES, f: Cochain) -> Cochain:
-    """delta f = d(section . f), pulled back to the submodule.
+    """delta f = d(section . f) on coordinate 0 of mid, as a contraction.
 
-    proj is equivariant and split by section, so proj(d(section . f)) = d(f):
-    the values of d(section . f) all lie in the image of incl exactly when f
-    is a cocycle, and the pull-back is where a non-cocycle is caught.
-    """
+    The section puts 0 there and only the first face g1.(0, f(g2..)) of the
+    bar differential mixes coordinates: (delta f)(g1, g2..) is
+    sum_j f(g2..)_j mid[g1][1 + j][0].  Coordinates 1.. are d(f): f must be a cocycle."""
     if f.action is not ses.quot and f.action.module is not ses.quot.module:
         raise DimensionMismatch("cochain does not take values in the quotient module")
-    lifted = Cochain.make(ses.mid, f.degree, {t: (0,) + v for t, v in f.values.items()})
+    if not is_cocycle(f):
+        raise NotACocycle("connecting map needs a cocycle")
+    q = ses.mid.module.ring.modulus
+    ident = ses.mid.group.identity
+    cols = [(g, [row[0] for row in mat[1:]]) for g, mat in enumerate(ses.mid.mats) if g != ident]
     values = {}
-    for t, v in differential(lifted).values.items():
-        c = ses.pull_back(v)
-        if c is None:
-            raise NotACocycle("connecting map needs a cocycle")
-        values[t] = c
-    return Cochain.make(ses.sub, f.degree + 1, values)
+    for t, vec in f.values.items():
+        nz = [(j, v) for j, v in enumerate(vec) if v]
+        for g, col in cols:
+            x = sum(v * col[j] for j, v in nz) % q
+            if x:
+                values[(g,) + t] = (x,)
+    return Cochain(ses.sub, f.degree + 1, values)
 
 
 # ---------------------------------------------------------------------------

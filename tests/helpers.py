@@ -1,8 +1,9 @@
 """Shared test fixtures: groups used across the test modules, and oracles.
 
 The bar-complex oracles (cocycle_basis, coboundary_basis, cohomology_rank,
-bar_inflation_h2) compute from whole cochain spaces what the library decides
-without them; they live here because only tests call them.
+bar_inflation_h2, connecting_via_lift) compute from whole cochain spaces or
+whole differentials what the library decides without them; they live here
+because only tests call them.
 """
 
 from itertools import product as iproduct
@@ -12,10 +13,11 @@ from soclecoh.cohomology import (
     CochainComplex,
     CoeffAction,
     Cochain,
+    CoefficientSES,
     differential,
     inflation,
 )
-from soclecoh.errors import SizeBound
+from soclecoh.errors import DimensionMismatch, NotACocycle, SizeBound
 from soclecoh.fingroup import from_cayley_table
 from soclecoh.gmodule import mat_identity
 from soclecoh.zmodlin import HowellBasis, LinearSolver, howell_form_rows, quotient_orders
@@ -159,3 +161,23 @@ def bar_inflation_h2(ext, max_order=DEFAULT_H2_MAX_ORDER):
         "inflated_dim": len(infl),
         "inflated_orders": list(infl),
     }
+
+
+def connecting_via_lift(ses: CoefficientSES, f: Cochain) -> Cochain:
+    """The connecting map by its definition: lift f to mid by the section
+    f |-> (0, f), take the whole bar differential, and pull back to Z/q.
+
+    proj is equivariant and split by the section, so proj(d(section . f)) =
+    d(f): the values lie in the image of Z/q (coordinates 1.. zero) exactly
+    when f is a cocycle, and that is where a non-cocycle is caught.
+    """
+    if f.action is not ses.quot and f.action.module is not ses.quot.module:
+        raise DimensionMismatch("cochain does not take values in the quotient module")
+    lifted = Cochain.make(ses.mid, f.degree, {t: (0,) + v for t, v in f.values.items()})
+    q = ses.mid.module.ring.modulus
+    values = {}
+    for t, v in differential(lifted).values.items():
+        if any(v[1:]):
+            raise NotACocycle("connecting map needs a cocycle")
+        values[t] = (v[0] % q,)
+    return Cochain.make(ses.sub, f.degree + 1, values)

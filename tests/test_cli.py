@@ -439,6 +439,21 @@ def test_order_256_obstruction_with_order_32_quotient():
     )
 
 
+def test_heisenberg5_exhaustive_verify():
+    # odd q, with the connecting map on each of the 30 phis over |G| = 25; the
+    # report is pinned from the lifted-differential route, which took about 4.5 s
+    proc, elapsed = run_process(
+        "verify", "--catalog", "heisenberg", "--params", "ell=5", "--ell", "5", "--n", "1",
+        "--m", "2", "--exhaustive", "--max-order", "125",
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "99ddf077830f5d9cc9bde0af0edfa1b74a4c17c9b08bcf7f61a1e5d05c1a408d"
+    )
+
+
 def test_phi_file_happy_path(capsys, tmp_path):
     gf = mixer_group_file(tmp_path)
     pf = tmp_path / "phi.json"

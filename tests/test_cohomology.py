@@ -5,7 +5,13 @@ from itertools import product
 
 import pytest
 
-from helpers import bar_inflation_h2, cocycle_basis, cohomology_rank, mixer32
+from helpers import (
+    bar_inflation_h2,
+    cocycle_basis,
+    cohomology_rank,
+    connecting_via_lift,
+    mixer32,
+)
 from soclecoh import cohomology
 from soclecoh.cohomology import (
     DEFAULT_H2_MAX_ORDER,
@@ -727,7 +733,7 @@ def test_connecting_section_independence():
 
 def test_connecting_rejects_non_cocycle():
     # proj(d(section . f)) = d(f), so d(section . f) leaves the image of incl
-    # exactly when f is not a cocycle
+    # exactly when f is not a cocycle; connecting checks that on the generator cut
     rng = random.Random(13)
     cases = (
         ("quaternion8", None, R2, 2),
@@ -749,6 +755,51 @@ def test_connecting_rejects_non_cocycle():
                 # a cocycle passes: the coboundary of the same cochain
                 assert connecting(ses, differential(f)).degree == degree + 2
         assert rejected, name
+
+
+LIFT_CASES = (
+    ("quaternion8", R2, None),
+    ("dihedral8", R2, None),
+    ("heisenberg", R3, {"ell": 3}),
+    ("wreath_z4_z2", R2, None),
+    ("free_class2", R2, {"d": 2, "ell": 2, "n": 1}),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+    ("abelian_product", R2, {"ell": 2, "exponents": [2, 2, 1]}),
+    ("cyclic", R3, {"ell": 3, "k": 2}),
+    ("mixer32", R2, None),
+)
+
+
+def test_connecting_contraction_matches_lift():
+    # the contraction with column 0 of mid's matrices against the definition:
+    # lift by the section, the whole bar differential, the coordinate-0 read
+    for name, ring, params in LIFT_CASES:
+        g = mixer32() if name == "mixer32" else catalog(name, params)
+        ctx = ObstructionContext(make_extension(g, ring), label=name)
+        for m in (2, 3):
+            ses = ctx.dual_sequence(m)
+            rng = random.Random(m)
+            cocycles = [ctx.d2_of_phi(phi) for phi in ctx.random_phi(m, rng, 4)]
+            for f in cocycles:
+                assert connecting(ses, f).values == connecting_via_lift(ses, f).values, (name, m)
+            # delta(dh) = -d(c . h) with c the column-0 cochain: a coboundary,
+            # though rarely the zero cochain
+            for _ in range(3):
+                dh = differential(random_cochain(ses.quot, 1, rng))
+                delta = connecting(ses, dh)
+                assert delta.values == connecting_via_lift(ses, dh).values, (name, m)
+                assert ctx.resolution.is_coboundary(delta), (name, m)
+            # a cocycle changed at one tuple is refused by both routes
+            rank = ses.quot.module.rank
+            nonid = [x for x in ses.quot.group.elements() if x != ses.quot.group.identity]
+            bump = (1,) + (0,) * (rank - 1)
+            for f in cocycles:
+                t = (rng.choice(nonid), rng.choice(nonid))
+                bad = f.add(Cochain.make(ses.quot, 2, {t: bump}))
+                with pytest.raises(NotACocycle):
+                    connecting(ses, bad)
+                with pytest.raises(NotACocycle):
+                    connecting_via_lift(ses, bad)
 
 
 # -- inflation / restriction -------------------------------------------------------

@@ -137,7 +137,7 @@ PSI_CASES = [
 
 def test_psi_generic_builds_and_runs_no_solver(monkeypatch):
     # once the context and the phis are built, Psi needs no linear solve: the
-    # connecting map reads coordinate 0 of d(section . d2), and the H^3
+    # connecting map contracts d2 with column 0 of mid's matrices, and the H^3
     # decision sums Psi over phi_3
     calls = []
     solve, init = LinearSolver.solve, LinearSolver.__init__
@@ -159,6 +159,28 @@ def test_psi_generic_builds_and_runs_no_solver(monkeypatch):
             ctx.psi_generic(phi)
         monkeypatch.undo()
         assert phis and calls == [], (name, m)
+
+
+def test_psi_generic_takes_no_whole_differential(monkeypatch):
+    # the connecting map is a contraction and every guard on the way runs on
+    # the generator cut, so no per-phi differential covers every last argument
+    from soclecoh import cohomology
+
+    whole, cut = [], []
+    build = cohomology.differential
+
+    def counted(f, last=None):
+        (whole if last is None else cut).append(f.degree)
+        return build(f, last)
+
+    for name, ring, params, m in PSI_CASES:
+        ctx = ctx_for(name, ring, params)
+        phis = list(ctx.random_phi(m, random.Random(m), 6))
+        monkeypatch.setattr(cohomology, "differential", counted)
+        for phi in phis:
+            ctx.psi_generic(phi)
+        monkeypatch.undo()
+        assert phis and cut and whole == [], (name, m)
 
 
 def test_psi_generic_rejects_a_non_cocycle(monkeypatch):
