@@ -397,16 +397,6 @@ def abelian_structure(a: FinGroup) -> AbelianStructure:
     return AbelianStructure(a, orders, basis, tuple(coords))
 
 
-def abelianization(g: FinGroup):
-    """(cyclic orders, projection to coords) of g/[g,g], orders descending."""
-    comms = sorted({g.comm(a, b) for a in g.elements() for b in g.elements()})
-    derived = Subgroup.generated(g, comms)
-    ab, proj = quotient(g, derived)
-    structure = abelian_structure(ab)
-    coord_of = tuple(structure.coords[proj[x]] for x in g.elements())
-    return structure.orders, coord_of, structure, proj
-
-
 @dataclass(frozen=True)
 class ExtensionData:
     """A group extension 1 -> H -> total -> G -> 1 with canonical bookkeeping.

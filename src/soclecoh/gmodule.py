@@ -469,15 +469,6 @@ class GroupRing:
                 self._ideals.append(howell_form_rows(rows, self.size, self.ring))
         return self._ideals[m - 1]
 
-    def nilpotency_degree(self) -> int:
-        """Least m with I^m = 0."""
-        m = 1
-        while len(self.ideal_basis(m)) > 0:
-            m += 1
-            if m > self.ring.n * self.size + 2:
-                raise NotNilpotent("augmentation ideal failed to vanish")
-        return m
-
 
 def regular_module(gr: GroupRing) -> GModule:
     """Lambda as a module over itself: free of rank |G|, permutation actions."""
@@ -613,7 +604,6 @@ class JBundle:
     ext: ExtensionData
     hab: GModule
     module: GModule
-    hab_orders_full: tuple
     h_coords: dict
 
 
@@ -637,7 +627,7 @@ def module_J(ext: ExtensionData) -> JBundle:
         to_parent[i]: tuple(c % cap for c, cap in zip(st.coords[i], caps))
         for i in range(hgrp.order)
     }
-    return JBundle(ext, hab, jmod, st.orders, h_coords)
+    return JBundle(ext, hab, jmod, h_coords)
 
 
 # ---------------------------------------------------------------------------

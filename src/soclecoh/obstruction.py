@@ -21,6 +21,7 @@ group G_phi = total/H_phi and must agree up to an explicit coboundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 import random
 
 from .cohomology import (
@@ -64,13 +65,7 @@ from .gmodule import (
     scaled_span,
     vec_reduce,
 )
-from .zmodlin import (
-    HowellBasis,
-    LinearSolver,
-    coords_in_basis,
-    lex_min_in_coset,
-    span_orders,
-)
+from .zmodlin import HowellBasis, contains, coords_in_basis, span_orders
 
 DEFAULT_HOM_ENUM_BOUND = 4096
 
@@ -170,6 +165,7 @@ class ObstructionContext:
         self._imdual_complex = {}
         self._ses = {}
         self._hom = {}
+        self._image = {}
 
     # -- cached module-side data -----------------------------------------
 
@@ -465,41 +461,24 @@ class ObstructionContext:
 
     # -- membership and the theorem --------------------------------------------
 
-    def image_membership(self, phi: PhiMap):
-        """Canonical gamma in J_m with phi_gamma = phi, or None."""
-        m = phi.m
-        em = self.em
-        jmod = em.j.module
-        t = jmod.rank
-        if t == 0:
-            return tuple() if phi.is_zero() else None
-        km = em.socle.basis(m)
-        q = self.ring.modulus
-        # scaled action matrices of the canonical I_m basis lifts
-        blocks = [
-            tuple(scale_vec(row, jmod.orders, self.ring) for row in nmat)
-            for nmat in em.lift_actions(m)
-        ]
-        targets = [x for row in phi.matrix for x in scale_vec(row, jmod.orders, self.ring)]
-        rows = []
-        for kr in km.rows:
-            row = []
-            # kr is a scaled J vector: descale, act, rescale exactly
-            x = descale_vec(kr, jmod.orders, self.ring)
-            for scaled in blocks:
-                row.extend(sum(x[k] * scaled[k][j] for k in range(t)) % q for j in range(t))
-            rows.append(row)
-        solver = LinearSolver(rows, len(blocks) * t, self.ring)
-        c = solver.solve(targets)
-        if c is None:
-            return None
-        x0 = [0] * t
-        for ci, kr in zip(c, km.rows):
-            if ci:
-                for j in range(t):
-                    x0[j] = (x0[j] + ci * kr[j]) % q
-        xmin = lex_min_in_coset(tuple(x0), em.socle.basis(1))
-        return descale_vec(xmin, jmod.orders, self.ring)
+    def image_membership(self, phi: PhiMap) -> bool:
+        """Whether phi = phi_gamma for some gamma in J_m.
+
+        gamma |-> phi_gamma is Z/q-linear, so its image is the span of the
+        phi_gamma over the Howell rows of J_m, flattened to vectors over
+        J.orders x rank(I_m); it is built once per level.
+        """
+        m, em = phi.m, self.em
+        jorders = em.j.module.orders
+        orders = jorders * len(phi.matrix)
+        if m not in self._image:
+            gens = [
+                chain.from_iterable(em.phi_gamma_matrix(descale_vec(r, jorders, self.ring), m))
+                for r in em.socle.basis(m).rows
+            ]
+            self._image[m] = scaled_span(gens, orders, self.ring)
+        flat = chain.from_iterable(phi.matrix)
+        return contains(self._image[m], scale_vec(flat, orders, self.ring))
 
     def verify_theorem(self, m: int, mode=("exhaustive",)):
         """Check both theorem directions and report, JSON-ready.
@@ -514,20 +493,23 @@ class ObstructionContext:
         holds, hyp = inflation_h2_surjective(self.ext, max_order=self.h2_max_order)
         socle_ranks = [len(span_orders(s)) for s in em.socle.steps]
 
-        exhaustive = mode[0] == "exhaustive"
-        if exhaustive:
-            jm_size = em.socle.basis(m).span_size()
+        basis = em.socle.basis(m)
+        if mode[0] == "exhaustive":
+            jm_size = basis.span_size()
             if jm_size > DEFAULT_JM_EXHAUSTIVE_BOUND:
                 raise SizeBound("exhaustive J_m enumeration", DEFAULT_JM_EXHAUSTIVE_BOUND, jm_size)
             gammas = list(self.enumerate_jm(m))
+            phis = list(self.enumerate_phi(m))
+            mode_label = "exhaustive"
         else:
             _, seed, count = mode
             rng = random.Random(seed)
-            basis = em.socle.basis(m)
             gammas = [
                 random_scaled_span_element(basis, jmod.orders, self.ring, rng)
                 for _ in range(count)
             ]
+            phis = list(self.random_phi(m, random.Random(seed + 1), count))
+            mode_label = f"sampled(seed={seed},count={count})"
 
         image_matrices = set()
         d1_checked = d1_passed = 0
@@ -543,26 +525,20 @@ class ObstructionContext:
                     {"kind": "psi_of_phi_gamma_nonzero", "gamma": list(gamma)}
                 )
 
-        if exhaustive:
-            phis = list(self.enumerate_phi(m))
-        else:
-            _, seed, count = mode
-            phis = list(self.random_phi(m, random.Random(seed + 1), count))
-
         d2_checked = zero_class_count = 0
         d2_mismatches = 0
         for phi in phis:
             res = self.psi_generic(phi)
-            gamma = self.image_membership(phi)
+            in_image = self.image_membership(phi)
             d2_checked += 1
             if res.is_zero_class:
                 zero_class_count += 1
-            if gamma is not None and not res.is_zero_class:
+            if in_image and not res.is_zero_class:
                 counterexamples.append(
                     {"kind": "phi_gamma_with_nonzero_class", "phi": [list(r) for r in phi.matrix]}
                 )
                 d2_mismatches += 1
-            if res.is_zero_class and gamma is None:
+            if res.is_zero_class and not in_image:
                 d2_mismatches += 1
                 counterexamples.append(
                     {"kind": "zero_class_without_gamma", "phi": [list(r) for r in phi.matrix]}
@@ -591,6 +567,6 @@ class ObstructionContext:
                 "image_size": len(image_matrices),
             },
             "counterexamples": counterexamples,
-            "mode": "exhaustive" if exhaustive else f"sampled(seed={mode[1]},count={mode[2]})",
+            "mode": mode_label,
         }
         return report

@@ -326,15 +326,6 @@ class LinearSolver:
         return tuple([r.get(i, 0) for i in range(n, n + self.nrows)])
 
 
-def lex_min_in_coset(vec, basis: HowellBasis):
-    """Lexicographically least element of vec + span(basis)."""
-    _check_lengths((vec,), basis.ambient_rank)
-    q = basis.ring.modulus
-    r = _as_dict(vec, q)
-    _reduce(r, _basis_pivots(basis), q)
-    return tuple(r.get(j, 0) for j in range(basis.ambient_rank))
-
-
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------

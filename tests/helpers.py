@@ -2,8 +2,9 @@
 
 The bar-complex oracles (cocycle_basis, coboundary_basis, cohomology_rank,
 bar_inflation_h2, connecting_via_lift) compute from whole cochain spaces or
-whole differentials what the library decides without them; they live here
-because only tests call them.
+whole differentials what the library decides without them, and
+image_membership_via_solve solves for a gamma where the library tests one
+containment; they live here because only tests call them.
 """
 
 from itertools import product as iproduct
@@ -19,7 +20,7 @@ from soclecoh.cohomology import (
 )
 from soclecoh.errors import DimensionMismatch, NotACocycle, SizeBound
 from soclecoh.fingroup import from_cayley_table
-from soclecoh.gmodule import mat_identity
+from soclecoh.gmodule import descale_vec, mat_identity, scale_vec
 from soclecoh.zmodlin import HowellBasis, LinearSolver, howell_form_rows, quotient_orders
 
 
@@ -181,3 +182,31 @@ def connecting_via_lift(ses: CoefficientSES, f: Cochain) -> Cochain:
             raise NotACocycle("connecting map needs a cocycle")
         values[t] = (v[0] % q,)
     return Cochain.make(ses.sub, f.degree + 1, values)
+
+
+def image_membership_via_solve(ctx, phi):
+    """A gamma in J_m with phi_gamma = phi, or None, by one LinearSolver solve.
+
+    The unknowns are coefficients on the Howell rows of J_m; the matrix stacks
+    each row's phi_gamma, scaled, over the I_m basis.  Any solution serves.
+    """
+    m, em, ring = phi.m, ctx.em, ctx.ring
+    jorders = em.j.module.orders
+    t = len(jorders)
+    if t == 0:
+        return () if phi.is_zero() else None
+    q = ring.modulus
+    km = em.socle.basis(m)
+    blocks = [tuple(scale_vec(row, jorders, ring) for row in nmat) for nmat in em.lift_actions(m)]
+    targets = [x for row in phi.matrix for x in scale_vec(row, jorders, ring)]
+    rows = []
+    for kr in km.rows:
+        x = descale_vec(kr, jorders, ring)
+        rows.append([sum(x[k] * b[k][j] for k in range(t)) % q for b in blocks for j in range(t)])
+    c = LinearSolver(rows, len(blocks) * t, ring).solve(targets)
+    if c is None:
+        return None
+    x0 = [0] * t
+    for ci, kr in zip(c, km.rows):
+        x0 = [(a + ci * b) % q for a, b in zip(x0, kr)]
+    return descale_vec(x0, jorders, ring)

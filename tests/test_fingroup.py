@@ -18,7 +18,6 @@ from soclecoh.errors import (
 from soclecoh.fingroup import (
     Subgroup,
     abelian_structure,
-    abelianization,
     catalog,
     descending_step,
     from_cayley_table,
@@ -337,27 +336,6 @@ def test_quotient_by_trivial_and_full():
     assert q1.order == g.order
     q2, _ = quotient(g, Subgroup.generated(g, (1, 2)))
     assert q2.order == 1
-
-
-def test_abelianization_q8():
-    q8 = catalog("quaternion8")
-    orders, coords, _, _ = abelianization(q8)
-    assert orders == (2, 2)
-
-
-def test_abelianization_heisenberg():
-    h = catalog("heisenberg", {"ell": 3})
-    orders, _, _, _ = abelianization(h)
-    assert orders == (3, 3)
-
-
-def test_abelianization_of_abelian():
-    g = catalog("abelian_product", {"ell": 2, "exponents": [2, 1]})
-    orders, coords, _, _ = abelianization(g)
-    assert orders == (4, 2)
-    # coords really decompose the group
-    seen = {coords[x] for x in g.elements()}
-    assert len(seen) == 8
 
 
 def test_abelian_structure_brute_force():

@@ -80,14 +80,6 @@ def test_ideal_square_zero_f2_z2():
     assert len(gr.ideal_basis(2)) == 0  # (sigma - 1)^2 = 0
 
 
-def test_ideal_that_never_vanishes_raises_not_nilpotent(monkeypatch):
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
-    i1 = gr.ideal_basis(1)
-    monkeypatch.setattr(gr, "ideal_basis", lambda m: i1)
-    with pytest.raises(NotNilpotent):
-        gr.nilpotency_degree()
-
-
 def test_ideal_chain_z4_z4():
     gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
     i5 = gr.ideal_basis(5)
@@ -340,6 +332,15 @@ def test_socle_regular_module_z2():
     assert chain.stabilization == 2
     assert chain.steps[0].rows == ((1, 1),)
     assert chain.steps[1] == full_scaled_basis(reg.orders, R2)
+
+
+def test_socle_series_stall_raises_not_nilpotent(monkeypatch):
+    # an augmentation ideal that never shrinks leaves J_m = J_1 != J for good
+    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    i1 = gr.ideal_basis(1)
+    monkeypatch.setattr(gr, "ideal_basis", lambda m: i1)
+    with pytest.raises(NotNilpotent):
+        socle_series(regular_module(gr), gr)
 
 
 def test_socle_wreath_ranks():

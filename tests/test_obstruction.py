@@ -6,13 +6,13 @@ from itertools import product
 
 import pytest
 
-from helpers import mixer32
+from helpers import image_membership_via_solve, mixer32
 from soclecoh import gmodule
 from soclecoh.cohomology import CochainComplex, cup, is_cocycle
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import vec_reduce
-from soclecoh.obstruction import ObstructionContext
+from soclecoh.obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext
 from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig
 
 R2 = RingConfig(2, 1)
@@ -136,9 +136,10 @@ PSI_CASES = [
 
 
 def test_psi_generic_builds_and_runs_no_solver(monkeypatch):
-    # once the context and the phis are built, Psi needs no linear solve: the
-    # connecting map contracts d2 with column 0 of mid's matrices, and the H^3
-    # decision sums Psi over phi_3
+    # once the context, the phis and the level's image basis are built, Psi
+    # and image membership need no linear solve: the connecting map contracts
+    # d2 with column 0 of mid's matrices, the H^3 decision sums Psi over
+    # phi_3, and membership is one containment in the image basis
     calls = []
     solve, init = LinearSolver.solve, LinearSolver.__init__
 
@@ -153,17 +154,20 @@ def test_psi_generic_builds_and_runs_no_solver(monkeypatch):
     for name, ring, params, m in PSI_CASES:
         ctx = ctx_for(name, ring, params)
         phis = list(ctx.random_phi(m, random.Random(m), 6))
+        ctx.image_membership(phis[0])
         monkeypatch.setattr(LinearSolver, "solve", counted_solve)
         monkeypatch.setattr(LinearSolver, "__init__", counted_init)
         for phi in phis:
             ctx.psi_generic(phi)
+            ctx.image_membership(phi)
         monkeypatch.undo()
         assert phis and calls == [], (name, m)
 
 
 def test_psi_generic_takes_no_whole_differential(monkeypatch):
     # the connecting map is a contraction and every guard on the way runs on
-    # the generator cut, so no per-phi differential covers every last argument
+    # the generator cut, so no per-phi differential covers every last argument;
+    # d2(phi) is checked for the cocycle property once, by `connecting`
     from soclecoh import cohomology
 
     whole, cut = [], []
@@ -176,11 +180,13 @@ def test_psi_generic_takes_no_whole_differential(monkeypatch):
     for name, ring, params, m in PSI_CASES:
         ctx = ctx_for(name, ring, params)
         phis = list(ctx.random_phi(m, random.Random(m), 6))
+        whole.clear()
+        cut.clear()
         monkeypatch.setattr(cohomology, "differential", counted)
         for phi in phis:
             ctx.psi_generic(phi)
         monkeypatch.undo()
-        assert phis and cut and whole == [], (name, m)
+        assert phis and whole == [] and cut.count(2) == len(phis), (name, m, cut)
 
 
 def test_psi_generic_rejects_a_non_cocycle(monkeypatch):
@@ -468,39 +474,71 @@ def test_d2_injective_on_top_graded_piece():
 def test_image_membership_zero():
     ctx = ctx_for("quaternion8")
     phi = ctx.phi_from_matrix(2, ((0,), (0,)))
-    gamma = ctx.image_membership(phi)
-    assert gamma == (0,)
+    assert ctx.image_membership(phi) is True
 
 
 def test_image_membership_q8_nonzero_absent():
     ctx = ctx_for("quaternion8")
     for phi in ctx.enumerate_phi(2):
-        got = ctx.image_membership(phi)
-        if phi.is_zero():
-            assert got is not None
-        else:
-            assert got is None  # trivial action: phi_gamma = 0 always
+        # trivial action: phi_gamma = 0 always
+        assert ctx.image_membership(phi) == phi.is_zero()
 
 
 def test_image_membership_roundtrip_mixer():
     ctx = ctx_for("mixer32")
     for gamma in ctx.enumerate_jm(2):
         phi = ctx.phi_from_gamma(gamma, 2)
-        back = ctx.image_membership(phi)
+        assert ctx.image_membership(phi)
+        back = image_membership_via_solve(ctx, phi)
         assert back is not None
         assert ctx.phi_from_gamma(back, 2).matrix == phi.matrix
 
 
-def test_image_membership_canonical_choice():
-    # returned gamma is the lexicographically least preimage
-    ctx = ctx_for("mixer32")
-    seen = {}
-    for gamma in ctx.enumerate_jm(2):
-        phi = ctx.phi_from_gamma(gamma, 2)
-        seen.setdefault(phi.matrix, []).append(gamma)
-    for mat, gammas in seen.items():
-        got = ctx.image_membership(ctx.phi_from_matrix(2, mat))
-        assert got == min(gammas)
+# every catalog group of order at most 16 (cyclic and abelian_product cover
+# the elementary_abelian alias) over Z/l, and over Z/4 where the quotient is
+# free; cyclic of order 2 and the elementary abelian groups have trivial J
+# (rank-0 vectors); mixer32 is the one group here with a nontrivial image
+IMAGE_CASES = (
+    [("cyclic", R2, {"ell": 2, "k": k}) for k in (1, 2, 3, 4)]
+    + [("cyclic", R4, {"ell": 2, "k": k}) for k in (2, 3, 4)]
+    + [("cyclic", R3, {"ell": 3, "k": k}) for k in (1, 2)]
+    + [
+        ("abelian_product", R2, {"ell": 2, "exponents": e})
+        for e in ((1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    ]
+    + [
+        ("abelian_product", R4, {"ell": 2, "exponents": (2, 2)}),
+        ("abelian_product", R3, {"ell": 3, "exponents": (1, 1)}),
+        ("quaternion8", R2, None),
+        ("dihedral8", R2, None),
+        ("heisenberg", R2, {"ell": 2}),
+        ("unitriangular3", R2, {"ell": 2, "n": 1}),
+        ("mixer32", R2, None),
+    ]
+)
+
+
+def test_image_membership_matches_solve_and_image():
+    # one containment in the span of the phi_gamma decides what the per-phi
+    # solve and the enumerated image {phi_gamma : gamma in J_m} decide
+    ranks = set()
+    for name, ring, params in IMAGE_CASES:
+        ctx = ctx_for(name, ring, params)
+        ranks.add(ctx.em.j.module.rank)
+        for m in (2, 3):
+            _, basis = ctx.hom_phi_basis(m)
+            if basis.span_size() > DEFAULT_HOM_ENUM_BOUND:
+                phis = list(ctx.random_phi(m, random.Random(m), 8))
+            else:
+                phis = list(ctx.enumerate_phi(m))
+            image = {ctx.phi_from_gamma(gamma, m).matrix for gamma in ctx.enumerate_jm(m)}
+            for phi in phis:
+                got = ctx.image_membership(phi)
+                assert got == (image_membership_via_solve(ctx, phi) is not None), (name, params, m)
+                assert got == (phi.matrix in image), (name, params, m)
+            if name == "mixer32":
+                assert len(image) == 2
+    assert 0 in ranks
 
 
 # -- verify_theorem -------------------------------------------------------------------

@@ -14,7 +14,6 @@ from soclecoh.zmodlin import (
     coords_in_basis,
     enumerate_span,
     howell_form_rows,
-    lex_min_in_coset,
     quotient_orders,
     quotient_presentation,
 )
@@ -327,28 +326,6 @@ def test_sum_spans():
     a = howell_form_rows([(2, 0)], 2, Z4)
     b = howell_form_rows([(0, 2)], 2, Z4)
     assert howell_form_rows(a.rows + b.rows, 2, Z4) == howell_form_rows([(2, 0), (0, 2)], 2, Z4)
-
-
-def test_lex_min_in_coset():
-    basis = howell_form_rows([(2, 0)], 2, Z4)
-    assert lex_min_in_coset((3, 1), basis) == (1, 1)
-    assert lex_min_in_coset((0, 0), basis) == (0, 0)
-    # oracle: the least element of v + span(B), enumerated
-    rng = random.Random(23)
-    for ring in (Z4, Z2):
-        q = ring.modulus
-        for _ in range(60):
-            amb = rng.randint(1, 4)
-            rows = [
-                tuple(rng.randrange(q) for _ in range(amb))
-                for _ in range(rng.randint(0, 3))
-            ]
-            basis = howell_form_rows(rows, amb, ring)
-            v = tuple(rng.randrange(q) for _ in range(amb))
-            want = min(
-                tuple((a + b) % q for a, b in zip(v, s)) for s in enumerate_span(basis)
-            )
-            assert lex_min_in_coset(v, basis) == want
 
 
 def test_linear_solver_kernel_matches_kernel():
