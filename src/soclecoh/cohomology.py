@@ -30,7 +30,7 @@ from .errors import (
     SizeBound,
     SocleCohError,
 )
-from .fingroup import ExtensionData, FinGroup, Subgroup
+from .fingroup import ExtensionData, FinGroup
 from .gmodule import (
     GModule,
     JBundle,
@@ -75,11 +75,6 @@ def action_for_quotient_module(ext: ExtensionData, module: GModule) -> CoeffActi
     """G acting on one of its own modules (generators = ext.sigma), each
     element through its exponent coordinates over the generators."""
     return CoeffAction(ext.quotient, module, element_matrices(module, ext.coords))
-
-
-def action_through_projection(group: FinGroup, base: CoeffAction, proj) -> CoeffAction:
-    """Pull the action back along a homomorphism group -> base.group."""
-    return CoeffAction(group, base.module, tuple(base.mats[proj[x]] for x in group.elements()))
 
 
 @dataclass(frozen=True)
@@ -486,41 +481,6 @@ def connecting(ses: CoefficientSES, f: Cochain) -> Cochain:
             if x:
                 values[(g,) + t] = (x,)
     return Cochain(ses.sub, f.degree + 1, values)
-
-
-# ---------------------------------------------------------------------------
-# Inflation / restriction.
-# ---------------------------------------------------------------------------
-
-
-def inflation(big: FinGroup, proj, f: Cochain) -> Cochain:
-    """Pull back along big ->> f's group, precomposing every tuple slot."""
-    new_action = action_through_projection(big, f.action, proj)
-    pre = {}
-    for x in big.elements():
-        pre.setdefault(proj[x], []).append(x)
-    ident = big.identity
-    values = {}
-    for tup, vec in f.values.items():
-        for lifted in product(*(pre[g] for g in tup)):
-            if ident in lifted:
-                continue
-            values[lifted] = vec
-    return Cochain.make(new_action, f.degree, values)
-
-
-def restriction(sub: Subgroup, f: Cochain) -> Cochain:
-    """Restrict a cochain to a subgroup (reindexed as its own group)."""
-    grp, to_parent, to_sub = sub.as_group()
-    action = CoeffAction(
-        grp, f.action.module, tuple(f.action.mats[to_parent[x]] for x in grp.elements())
-    )
-    inside = set(sub.elements)
-    values = {}
-    for tup, vec in f.values.items():
-        if all(g in inside for g in tup):
-            values[tuple(to_sub[g] for g in tup)] = vec
-    return Cochain.make(action, f.degree, values)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,3 @@ class SizeBound(SocleCohError):
 class NotNilpotent(SocleCohError):
     """The augmentation ideal of the group ring, or the socle series of a
     module over it, failed to terminate: the group does not act nilpotently."""
-
-
-class NormalityFailure(SocleCohError):
-    """Internal assertion: a subgroup the theory guarantees normal is not."""

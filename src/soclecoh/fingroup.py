@@ -261,13 +261,6 @@ class Subgroup:
     def __contains__(self, x):
         return x in set(self.elements)
 
-    def is_normal(self) -> bool:
-        try:
-            self.normality_witness()
-            return True
-        except NotNormal:
-            return False
-
     def normality_witness(self) -> None:
         es = set(self.elements)
         for g in self.parent.elements():
@@ -349,12 +342,6 @@ class AbelianStructure:
     orders: tuple
     basis: tuple
     coords: tuple
-
-    def from_coords(self, cs):
-        x = self.group.identity
-        for b, c in zip(self.basis, cs):
-            x = self.group.mul(x, self.group.power(b, c))
-        return x
 
 
 def _abelian_basis(a: FinGroup):

@@ -14,7 +14,6 @@ matrix entry A[k][j] lives modulo the order of target coordinate j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DimensionMismatch, NotFreeModule, NotNilpotent
 from .fingroup import ExtensionData, FinGroup, abelian_structure
@@ -131,10 +130,6 @@ def kernel_in_module(orders, maps, ring: RingConfig) -> HowellBasis:
 def scaled_span(vectors, orders, ring: RingConfig) -> HowellBasis:
     rows = [scale_vec(v, orders, ring) for v in vectors]
     return howell_form_rows(rows, len(orders), ring)
-
-
-def enumerate_module(orders):
-    return product(*(range(o) for o in orders))
 
 
 def enumerate_scaled_span(basis: HowellBasis, orders, ring: RingConfig):
@@ -364,12 +359,6 @@ def hom_g(m: GModule, n: GModule):
     return hm, invariants(hm.module)
 
 
-def enumerate_hom_g(hm: HomModule, basis: HowellBasis):
-    """All equivariant matrices, deterministically ordered."""
-    for c in enumerate_scaled_span(basis, hm.module.orders, hm.module.ring):
-        yield hm.coords_to_matrix(c)
-
-
 # ---------------------------------------------------------------------------
 # Group ring and augmentation powers.
 # ---------------------------------------------------------------------------
@@ -415,26 +404,12 @@ class GroupRing:
     def eps(self, v) -> int:
         return sum(v) % self.ring.modulus
 
-    def elem_vec(self, g: int):
-        return tuple(1 if x == g else 0 for x in range(self.size))
-
     def mult_by_elem(self, g: int, v):
         out = [0] * self.size
         perm = self._left[g]
         for x, c in enumerate(v):
             if c:
                 out[perm[x]] = c
-        return tuple(out)
-
-    def mult(self, v, w):
-        q = self.ring.modulus
-        out = [0] * self.size
-        for x, a in enumerate(v):
-            if a:
-                perm = self._left[x]
-                for y, b in enumerate(w):
-                    if b:
-                        out[perm[y]] = (out[perm[y]] + a * b) % q
         return tuple(out)
 
     def augmentation_row(self, g: int):
@@ -468,19 +443,6 @@ class GroupRing:
                         rows.append(tuple((a - b) % q for a, b in zip(moved, v)))
                 self._ideals.append(howell_form_rows(rows, self.size, self.ring))
         return self._ideals[m - 1]
-
-
-def regular_module(gr: GroupRing) -> GModule:
-    """Lambda as a module over itself: free of rank |G|, permutation actions."""
-    q = gr.ring.modulus
-    orders = (q,) * gr.size
-    actions = []
-    for s in gr.sigma:
-        perm = gr._left[s]
-        actions.append(
-            tuple(tuple(1 if perm[x] == ypos else 0 for ypos in range(gr.size)) for x in range(gr.size))
-        )
-    return GModule(gr.ring, orders, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -678,33 +640,7 @@ def socle_series(jmod: GModule, gr: GroupRing) -> SocleChain:
 
 
 # ---------------------------------------------------------------------------
-# Quotient modules (J/J_m and friends).
-# ---------------------------------------------------------------------------
-
-
-def quotient_module(module: GModule, sub_scaled: HowellBasis) -> QuotientModule:
-    """module / (scaled submodule), with induced actions."""
-    ring = module.ring
-    t = module.rank
-    rel = [
-        tuple(module.orders[k] if j == k else 0 for j in range(t)) for k in range(t)
-    ]
-    rel += [descale_vec(r, module.orders, ring) for r in sub_scaled.rows]
-    qp = quotient_presentation(howell_form_rows(rel, t, ring))
-    orders = qp.orders
-    section = tuple(
-        vec_reduce(qp.section_vec(y), module.orders) for y in mat_identity(orders)
-    )
-    actions = [
-        tuple(qp.project_vec(mat_apply(x, a, module.orders)) for x in section)
-        for a in module.actions
-    ]
-    newmod = make_module(ring, orders, actions)
-    return QuotientModule(t, orders, qp.project, section, ring, newmod)
-
-
-# ---------------------------------------------------------------------------
-# Bundled per-extension caches and the invariant-homs record.
+# Bundled per-extension caches.
 # ---------------------------------------------------------------------------
 
 
@@ -748,49 +684,3 @@ class ExtensionModules:
         """Matrix of eta |-> eta . gamma on I_m, rows per I_m coordinate."""
         orders = self.j.module.orders
         return tuple(mat_apply(gamma, nmat, orders) for nmat in self.lift_actions(m))
-
-
-def jm_via_invariant_homs(em: ExtensionModules, m: int):
-    """Both invariant-hom sides of level m plus the explicit comparison.
-
-    Returns a dict with the Lambda_m side, the I_m side, the evaluation map
-    f |-> f(1) onto J_m, the restriction map, and verification bits for the
-    commuting square (exhaustive over J_m when it is small).
-    """
-    lam = em.lambda_m(m)
-    im = em.i_m(m)
-    jmod = em.j.module
-    hom_lam, basis_lam = hom_g(lam.module, jmod)
-    hom_im, basis_im = hom_g(im.module, jmod)
-    jm_basis = em.socle.basis(m)
-
-    # f |-> f(1): row 0 of the matrix (1 has Lambda_m coordinates (1,0,...))
-    eval_rows = []
-    for row in basis_lam.rows:
-        c = descale_vec(row, hom_lam.module.orders, em.ring)
-        f = hom_lam.coords_to_matrix(c)
-        eval_rows.append(f[0] if f else tuple())
-    image_of_eval = scaled_span(eval_rows, jmod.orders, em.ring) if jmod.rank else jm_basis
-    iso_onto_jm = image_of_eval == jm_basis and (
-        basis_lam.span_size() == jm_basis.span_size()
-    )
-
-    # commuting square: restriction of f equals phi_{f(1)}
-    square_ok = True
-    checked = 0
-    if basis_lam.span_size() <= DEFAULT_JM_EXHAUSTIVE_BOUND:
-        for c in enumerate_scaled_span(basis_lam, hom_lam.module.orders, em.ring):
-            f = hom_lam.coords_to_matrix(c)
-            gamma = f[0] if f else tuple()
-            restricted = tuple(f[1:])
-            if restricted != em.phi_gamma_matrix(gamma, m):
-                square_ok = False
-            checked += 1
-    return {
-        "lambda_side": (hom_lam, basis_lam),
-        "i_side": (hom_im, basis_im),
-        "jm_basis": jm_basis,
-        "iso_onto_jm": iso_onto_jm,
-        "square_commutes": square_ok,
-        "square_checked": checked,
-    }

@@ -294,9 +294,6 @@ class LinearSolver:
             return tuple(tuple((row >> j) & 1 for j in cols) for _, _, row in pivots)
         return tuple(tuple(row.get(j, 0) for j in cols) for _, _, row in pivots)
 
-    def image_row_tuples(self):
-        return self._tuples(self._image, 0, self.ncols)
-
     def kernel_row_tuples(self):
         return self._tuples(self._kernel, self.ncols, self.nrows)
 

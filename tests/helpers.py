@@ -4,9 +4,14 @@ The bar-complex oracles (cocycle_basis, coboundary_basis, cohomology_rank,
 bar_inflation_h2, connecting_via_lift) compute from whole cochain spaces or
 whole differentials what the library decides without them, and
 image_membership_via_solve solves for a gamma where the library tests one
-containment; they live here because only tests call them.
+containment.  The paper's side constructions are oracles too: J_m through
+invariant homs (jm_via_invariant_homs), the quotient group G_phi with its
+differential (build_g_phi, d2_via_g_phi), inflation and restriction of
+cochains, quotient modules, and the regular module with its product.  They
+live here because only tests call them.
 """
 
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from soclecoh.cohomology import (
@@ -15,13 +20,50 @@ from soclecoh.cohomology import (
     CoeffAction,
     Cochain,
     CoefficientSES,
+    action_for_quotient_module,
     differential,
-    inflation,
+    extension_cocycle,
 )
-from soclecoh.errors import DimensionMismatch, NotACocycle, SizeBound
-from soclecoh.fingroup import from_cayley_table
-from soclecoh.gmodule import descale_vec, mat_identity, scale_vec
-from soclecoh.zmodlin import HowellBasis, LinearSolver, howell_form_rows, quotient_orders
+from soclecoh.errors import DimensionMismatch, NotACocycle, SizeBound, SocleCohError
+from soclecoh.fingroup import (
+    ExtensionData,
+    FinGroup,
+    Subgroup,
+    abelian_structure,
+    build_extension,
+    from_cayley_table,
+    quotient,
+)
+from soclecoh.gmodule import (
+    DEFAULT_JM_EXHAUSTIVE_BOUND,
+    ExtensionModules,
+    GModule,
+    GroupRing,
+    QuotientModule,
+    descale_vec,
+    dual,
+    dual_pair,
+    dual_transpose,
+    enumerate_scaled_span,
+    hom_g,
+    make_module,
+    mat_apply,
+    mat_identity,
+    mat_mul,
+    module_J,
+    scale_vec,
+    scaled_span,
+    vec_reduce,
+)
+from soclecoh.obstruction import ObstructionContext, PhiMap
+from soclecoh.zmodlin import (
+    HowellBasis,
+    LinearSolver,
+    coords_in_basis,
+    howell_form_rows,
+    quotient_orders,
+    quotient_presentation,
+)
 
 
 def mixer32():
@@ -115,12 +157,17 @@ def cocycle_basis(cc: CochainComplex, k: int) -> HowellBasis:
     return howell_form_rows(scaled, cc.dim(k), ring)
 
 
+def image_row_tuples(solver: LinearSolver):
+    """The canonical image basis of a LinearSolver's matrix, as tuples."""
+    return solver._tuples(solver._image, 0, solver.ncols)
+
+
 def coboundary_basis(cc: CochainComplex, k: int) -> HowellBasis:
     """Scaled basis of B^k (image of d from degree k-1)."""
     ring = cc.action.module.ring
     if k == 0:
         return howell_form_rows([], cc.dim(0), ring)
-    return howell_form_rows(list(cc.solver(k - 1).image_row_tuples()), cc.dim(k), ring)
+    return howell_form_rows(list(image_row_tuples(cc.solver(k - 1))), cc.dim(k), ring)
 
 
 def cohomology_rank(action: CoeffAction, k: int):
@@ -210,3 +257,274 @@ def image_membership_via_solve(ctx, phi):
     for ci, kr in zip(c, km.rows):
         x0 = [(a + ci * b) % q for a, b in zip(x0, kr)]
     return descale_vec(x0, jorders, ring)
+
+
+# -- cochains along group maps ------------------------------------------------------
+
+
+def inflation(big: FinGroup, proj, f: Cochain) -> Cochain:
+    """Pull back along big ->> f's group, precomposing every tuple slot."""
+    new_action = CoeffAction(
+        big, f.action.module, tuple(f.action.mats[proj[x]] for x in big.elements())
+    )
+    pre = {}
+    for x in big.elements():
+        pre.setdefault(proj[x], []).append(x)
+    ident = big.identity
+    values = {}
+    for tup, vec in f.values.items():
+        for lifted in iproduct(*(pre[g] for g in tup)):
+            if ident in lifted:
+                continue
+            values[lifted] = vec
+    return Cochain.make(new_action, f.degree, values)
+
+
+def restriction(sub: Subgroup, f: Cochain) -> Cochain:
+    """Restrict a cochain to a subgroup (reindexed as its own group)."""
+    grp, to_parent, to_sub = sub.as_group()
+    action = CoeffAction(
+        grp, f.action.module, tuple(f.action.mats[to_parent[x]] for x in grp.elements())
+    )
+    inside = set(sub.elements)
+    values = {}
+    for tup, vec in f.values.items():
+        if all(g in inside for g in tup):
+            values[tuple(to_sub[g] for g in tup)] = vec
+    return Cochain.make(action, f.degree, values)
+
+
+# -- modules: the regular module, quotients, J_m through invariant homs -------------
+
+
+def group_ring_mult(gr: GroupRing, v, w):
+    """The product of two elements of Z/l^n[G]."""
+    q = gr.ring.modulus
+    out = [0] * gr.size
+    for x, a in enumerate(v):
+        if a:
+            perm = gr._left[x]
+            for y, b in enumerate(w):
+                if b:
+                    out[perm[y]] = (out[perm[y]] + a * b) % q
+    return tuple(out)
+
+
+def regular_module(gr: GroupRing) -> GModule:
+    """Lambda as a module over itself: free of rank |G|, permutation actions."""
+    q = gr.ring.modulus
+    orders = (q,) * gr.size
+    actions = []
+    for s in gr.sigma:
+        perm = gr._left[s]
+        actions.append(
+            tuple(tuple(1 if perm[x] == ypos else 0 for ypos in range(gr.size)) for x in range(gr.size))
+        )
+    return GModule(gr.ring, orders, tuple(actions))
+
+
+def quotient_module(module: GModule, sub_scaled: HowellBasis) -> QuotientModule:
+    """module / (scaled submodule), with induced actions."""
+    ring = module.ring
+    t = module.rank
+    rel = [
+        tuple(module.orders[k] if j == k else 0 for j in range(t)) for k in range(t)
+    ]
+    rel += [descale_vec(r, module.orders, ring) for r in sub_scaled.rows]
+    qp = quotient_presentation(howell_form_rows(rel, t, ring))
+    orders = qp.orders
+    section = tuple(
+        vec_reduce(qp.section_vec(y), module.orders) for y in mat_identity(orders)
+    )
+    actions = [
+        tuple(qp.project_vec(mat_apply(x, a, module.orders)) for x in section)
+        for a in module.actions
+    ]
+    newmod = make_module(ring, orders, actions)
+    return QuotientModule(t, orders, qp.project, section, ring, newmod)
+
+
+def jm_via_invariant_homs(em: ExtensionModules, m: int):
+    """Both invariant-hom sides of level m plus the explicit comparison.
+
+    Returns a dict with the Lambda_m side, the I_m side, the evaluation map
+    f |-> f(1) onto J_m, the restriction map, and verification bits for the
+    commuting square (exhaustive over J_m when it is small).
+    """
+    lam = em.lambda_m(m)
+    im = em.i_m(m)
+    jmod = em.j.module
+    hom_lam, basis_lam = hom_g(lam.module, jmod)
+    hom_im, basis_im = hom_g(im.module, jmod)
+    jm_basis = em.socle.basis(m)
+
+    # f |-> f(1): row 0 of the matrix (1 has Lambda_m coordinates (1,0,...))
+    eval_rows = []
+    for row in basis_lam.rows:
+        c = descale_vec(row, hom_lam.module.orders, em.ring)
+        f = hom_lam.coords_to_matrix(c)
+        eval_rows.append(f[0] if f else tuple())
+    image_of_eval = scaled_span(eval_rows, jmod.orders, em.ring) if jmod.rank else jm_basis
+    iso_onto_jm = image_of_eval == jm_basis and (
+        basis_lam.span_size() == jm_basis.span_size()
+    )
+
+    # commuting square: restriction of f equals phi_{f(1)}
+    square_ok = True
+    checked = 0
+    if basis_lam.span_size() <= DEFAULT_JM_EXHAUSTIVE_BOUND:
+        for c in enumerate_scaled_span(basis_lam, hom_lam.module.orders, em.ring):
+            f = hom_lam.coords_to_matrix(c)
+            gamma = f[0] if f else tuple()
+            restricted = tuple(f[1:])
+            if restricted != em.phi_gamma_matrix(gamma, m):
+                square_ok = False
+            checked += 1
+    return {
+        "lambda_side": (hom_lam, basis_lam),
+        "i_side": (hom_im, basis_im),
+        "jm_basis": jm_basis,
+        "iso_onto_jm": iso_onto_jm,
+        "square_commutes": square_ok,
+        "square_checked": checked,
+    }
+
+
+# -- the quotient-group recipe --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GPhiData:
+    """The quotient-extension data attached to phi."""
+
+    h_phi: Subgroup
+    ext_phi: ExtensionData
+    image_basis: HowellBasis
+    image_dual: GModule
+    kernel_iso: tuple
+    alpha_phi: Cochain
+    beta_phi: Cochain
+    iso_equivariant: bool
+
+
+def build_g_phi(ctx: ObstructionContext, phi: PhiMap) -> GPhiData:
+    ext = ctx.ext
+    g = ext.total
+    jb = ctx.em.j
+    jmod = jb.module
+    image = scaled_span(list(phi.matrix), jmod.orders, ctx.ring)
+    im_rows = [descale_vec(r, jmod.orders, ctx.ring) for r in image.rows]
+    h_elems = []
+    for h in ext.kernel.elements:
+        coords = jb.h_coords[h]
+        if all(dual_pair(u, coords, jb.hab.orders, ctx.ring) == 0 for u in im_rows):
+            h_elems.append(h)
+    h_phi = Subgroup(g, tuple(sorted(h_elems)))
+    h_phi.normality_witness()
+    g_phi, proj_phi = quotient(g, h_phi)
+    proj2 = [None] * g_phi.order
+    for x in g.elements():
+        y = proj_phi[x]
+        if proj2[y] is None:
+            proj2[y] = ext.projection[x]
+        elif proj2[y] != ext.projection[x]:
+            raise SocleCohError("projection does not factor through G_phi")
+    kernel_phi = Subgroup(g_phi, tuple(sorted({proj_phi[h] for h in ext.kernel.elements})))
+    ext_phi = build_extension(g_phi, kernel_phi, ext.quotient, tuple(proj2), ctx.ring)
+    jb_phi = module_J(ext_phi)
+
+    # evaluation pairing H/H_phi x Im(phi) -> R as a matrix to (Im phi)^vee
+    o_orders = image.coordinate_orders()
+    q = ctx.ring.modulus
+    khab = jb_phi.hab
+    # basis elements of K = H/H_phi, lifted to least preimages in H
+    kgrp, to_parent_k, _ = kernel_phi.as_group()
+    st = abelian_structure(kgrp)
+    iso_rows = []
+    ok_iso = True
+    for bk in st.basis:
+        yk = to_parent_k[bk]  # element of g_phi
+        hk = min(h for h in ext.kernel.elements if proj_phi[h] == yk)
+        row = []
+        for u, o in zip(im_rows, o_orders):
+            val = dual_pair(u, jb.h_coords[hk], jb.hab.orders, ctx.ring)
+            step = q // o
+            if val % step:
+                ok_iso = False
+                row.append(0)
+            else:
+                row.append((val // step) % o)
+        iso_rows.append(tuple(row))
+    kernel_iso = tuple(iso_rows)
+    # (Im phi)^vee with the dual of the image's G-action
+    act_rows = []
+    for i in range(ext.d):
+        rows = []
+        for jvec in im_rows:
+            moved = jmod.act(jvec, i)
+            cs = coords_in_basis(image, scale_vec(moved, jmod.orders, ctx.ring))
+            if cs is None:
+                raise SocleCohError("phi image is not action-stable")
+            rows.append(tuple(c % o for c, o in zip(cs, o_orders)))
+        act_rows.append(tuple(rows))
+    image_dual = dual(GModule(ctx.ring, o_orders, tuple(act_rows)))
+    # iso equivariance: K-action vs (Im phi)^vee action
+    if kernel_iso and ok_iso:
+        for i in range(ext.d):
+            lhs = mat_mul(khab.actions[i], kernel_iso, image_dual.orders)
+            rhs = mat_mul(kernel_iso, image_dual.actions[i], image_dual.orders)
+            if lhs != rhs:
+                ok_iso = False
+    # bijectivity: the iso rows span the full dual and sizes match
+    if ok_iso:
+        span = scaled_span(list(kernel_iso), image_dual.orders, ctx.ring)
+        full_size = 1
+        for o in image_dual.orders:
+            full_size *= o
+        ok_iso = span.span_size() == full_size == len(kernel_phi)
+
+    ec_phi = extension_cocycle(ext_phi, jb_phi)
+    imdual_action = action_for_quotient_module(ext, image_dual)
+    alpha_values = {}
+    for tup, vec in ec_phi.alpha.values.items():
+        out = mat_apply(vec, kernel_iso, image_dual.orders)
+        if any(out):
+            alpha_values[tup] = out
+    alpha_phi = Cochain.make(imdual_action, 2, alpha_values)
+    # pushforward (Im phi)^vee -> I_m^vee dual to the corestriction of phi
+    im_m = ctx.em.i_m(phi.m)
+    cor = []
+    for row in phi.matrix:
+        cs = coords_in_basis(image, scale_vec(row, jmod.orders, ctx.ring))
+        cor.append(tuple(c % o for c, o in zip(cs, o_orders)))
+    push = dual_transpose(tuple(cor), im_m.module.orders, o_orders)
+    beta_values = {}
+    imv_action = ctx.im_dual_action(phi.m)
+    for tup, vec in alpha_phi.values.items():
+        out = mat_apply(vec, push, ctx.im_dual(phi.m).orders)
+        if any(out):
+            beta_values[tup] = out
+    beta_phi = Cochain.make(imv_action, 2, beta_values)
+    return GPhiData(
+        h_phi=h_phi,
+        ext_phi=ext_phi,
+        image_basis=image,
+        image_dual=image_dual,
+        kernel_iso=kernel_iso,
+        alpha_phi=alpha_phi,
+        beta_phi=beta_phi,
+        iso_equivariant=ok_iso,
+    )
+
+def d2_via_g_phi(ctx: ObstructionContext, phi: PhiMap):
+    """-beta_phi computed in G_phi, plus the witness against route A.
+
+    Returns (cochain, witness): the witness certifies the two differentials
+    are cohomologous; both are 2-cocycles with I_m^vee values.
+    """
+    data = build_g_phi(ctx, phi)
+    d2q = data.beta_phi.neg()
+    d2a = ctx.d2_of_phi(phi)
+    diff = d2q.add(d2a.neg())
+    witness = CochainComplex(ctx.im_dual_action(phi.m)).coboundary_witness(diff)
+    return d2q, witness, data

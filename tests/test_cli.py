@@ -424,6 +424,21 @@ def test_order_512_h2_check_completes():
     assert rep["h2_total_dim"] == 14
 
 
+@pytest.mark.parametrize("max_order", [("--max-order", "512"), ()])
+def test_verify_enumeration_bound_trips_before_h2_check(max_order):
+    # Hom_G(I_2, J) of free_class2(3, 2, 1) has 2^18 elements: the bound trips
+    # before the order-512 H^2 check (about 2 s) runs, and it is the bound
+    # named when the H^2 order bound (32 by default) would trip too
+    proc, elapsed = run_process(
+        "verify", "--catalog", "free_class2", "--params", "d=3", "--ell", "2", "--n", "1",
+        "--m", "2", "--exhaustive", *max_order,
+    )
+    assert proc.returncode == 4
+    assert "Hom_G(I_m, J) enumeration: limit 4096, got 262144" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1
+
+
 def test_order_256_obstruction_with_order_32_quotient():
     # |G| = 32: the bar H^3 solve and the full degree-4 cocycle guard took
     # about 10 s and 123 MB here; the report is pinned from that route

@@ -10,7 +10,9 @@ from helpers import (
     cocycle_basis,
     cohomology_rank,
     connecting_via_lift,
+    inflation,
     mixer32,
+    restriction,
 )
 from soclecoh import cohomology
 from soclecoh.cohomology import (
@@ -26,10 +28,8 @@ from soclecoh.cohomology import (
     d2_on_E01,
     differential,
     extension_cocycle,
-    inflation,
     inflation_h2_surjective,
     is_cocycle,
-    restriction,
 )
 from soclecoh.errors import (
     DimensionMismatch,
@@ -548,6 +548,28 @@ def test_h3_decision_matches_bar_witness():
                 zero = ctx.resolution.is_coboundary(psi)
                 assert zero == (ctx.r_complex.coboundary_witness(psi) is not None), (name, m)
                 seen.add(zero)
+    assert seen == {True, False}
+
+
+def test_h3_decision_koszul_sign_at_odd_q():
+    # over Z/3 the Koszul sign of P matters (over Z/2 it is invisible): on
+    # random degree-3 cocycles of (Z/3)^2 and on coboundaries, the decision on
+    # P agrees with the bar solve, and both outcomes occur
+    ext = toral_extension(3, 2)
+    res = CyclicTensorResolution(ext)
+    act = CoeffAction.trivial(ext.quotient, ext.ring)
+    cc = CochainComplex(act)
+    z3 = cocycle_basis(cc, 3).rows
+    rng = random.Random(9)
+    seen = set()
+    for trial in range(24):
+        coeffs = [rng.randrange(3) for _ in z3]
+        f = cc.unflat([sum(c * row[i] for c, row in zip(coeffs, z3)) for i in range(cc.dim(3))], 3)
+        if trial % 2:
+            f = differential(random_cochain(act, 2, rng, support=4))
+        zero = res.is_coboundary(f)
+        assert zero == (cc.coboundary_witness(f) is not None), trial
+        seen.add(zero)
     assert seen == {True, False}
 
 

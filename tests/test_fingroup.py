@@ -1,6 +1,7 @@
 """Group constructors, descending series, quotients, and the catalog."""
 
 import random
+from functools import reduce
 from itertools import product as iproduct
 
 import pytest
@@ -345,7 +346,7 @@ def test_abelian_structure_brute_force():
         st = abelian_structure(g)
         assert sorted(st.orders, reverse=True) == sorted((2**e for e in spec), reverse=True)
         for x in g.elements():
-            assert st.from_coords(st.coords[x]) == x
+            assert reduce(g.mul, map(g.power, st.basis, st.coords[x]), g.identity) == x
         for x in g.elements():
             for y in g.elements():
                 z = g.mul(x, y)
@@ -448,7 +449,7 @@ def test_descending_step_normal_with_abelian_quotient():
     for name, ring, params in cases:
         g = catalog(name, params)
         h = descending_step(g, ring)
-        assert h.is_normal()
+        h.normality_witness()
         q, _ = quotient(g, h)
         assert q.is_abelian()
         assert all(q.power(x, ring.modulus) == q.identity for x in q.elements())

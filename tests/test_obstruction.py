@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from helpers import image_membership_via_solve, mixer32
+from helpers import build_g_phi, d2_via_g_phi, image_membership_via_solve, mixer32
 from soclecoh import gmodule
 from soclecoh.cohomology import CochainComplex, cup, is_cocycle
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
@@ -18,6 +18,7 @@ from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig
 R2 = RingConfig(2, 1)
 R3 = RingConfig(3, 1)
 R4 = RingConfig(2, 2)
+R5 = RingConfig(5, 1)
 
 _ctx_cache = {}
 
@@ -382,7 +383,7 @@ def test_generator_permutation_does_not_change_verdicts():
 def test_g_phi_zero_map():
     ctx = ctx_for("quaternion8")
     phi = ctx.phi_from_matrix(2, ((0,), (0,)))
-    data = ctx.build_g_phi(phi)
+    data = build_g_phi(ctx, phi)
     assert len(data.h_phi) == len(ctx.ext.kernel)
     assert data.ext_phi.total.order == ctx.ext.quotient.order
     assert data.alpha_phi.is_zero()
@@ -394,7 +395,7 @@ def test_g_phi_q8_injective_character():
     for phi in ctx.enumerate_phi(2):
         if phi.is_zero():
             continue
-        data = ctx.build_g_phi(phi)
+        data = build_g_phi(ctx, phi)
         assert len(data.h_phi) == 1  # chi is injective on H = Z/2
         assert data.ext_phi.total.order == 8
         assert data.iso_equivariant
@@ -404,7 +405,7 @@ def test_g_phi_wreath_rank_one_image():
     ctx = ctx_for("wreath_z4_z2")
     sizes = set()
     for phi in ctx.enumerate_phi(2):
-        data = ctx.build_g_phi(phi)
+        data = build_g_phi(ctx, phi)
         assert data.iso_equivariant
         assert len(data.h_phi) * data.image_basis.span_size() == len(ctx.ext.kernel)
         if data.image_basis.span_size() == 2:
@@ -416,7 +417,7 @@ def test_d2_via_g_phi_matches_route_a():
     for name in ("quaternion8", "wreath_z4_z2", "mixer32"):
         ctx = ctx_for(name)
         for phi in ctx.enumerate_phi(2):
-            d2q, witness, data = ctx.d2_via_g_phi(phi)
+            d2q, witness, data = d2_via_g_phi(ctx, phi)
             assert witness is not None, (name, phi.matrix)
             assert is_cocycle(d2q)
 
@@ -425,7 +426,7 @@ def test_d2_injective_on_top_graded_piece():
     # no nonzero invariant class with (I^{m-1}/I^m)^vee coefficients has a
     # d2 coboundary witness
     from soclecoh.cohomology import d2_on_E01, action_for_quotient_module
-    from soclecoh.gmodule import dual, hom_g, enumerate_hom_g
+    from soclecoh.gmodule import dual, enumerate_scaled_span, hom_g
 
     for name, m in (("quaternion8", 2), ("mixer32", 2), ("quaternion8", 3)):
         ctx = ctx_for(name)
@@ -461,7 +462,8 @@ def test_d2_injective_on_top_graded_piece():
         act = action_for_quotient_module(ctx.ext, gdual)
         hm, basis = hom_g(em.j.hab, gdual)
         cc = CochainComplex(act)
-        for x in enumerate_hom_g(hm, basis):
+        for c in enumerate_scaled_span(basis, hm.module.orders, ctx.ring):
+            x = hm.coords_to_matrix(c)
             if not any(any(r) for r in x):
                 continue
             c = d2_on_E01(ctx.alpha, x, act)
@@ -585,6 +587,28 @@ def test_verify_mixer_exhaustive():
     assert rep["direction2"]["image_size"] > 1
     if rep["hypothesis"]["holds"]:
         assert rep["direction2"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "name, ring, params, decided",
+    [("heisenberg", R5, {"ell": 5}, 25), ("free_class2", R2, {"d": 2, "ell": 2, "n": 1}, 64)],
+)
+def test_verify_decides_each_phi_matrix_once(monkeypatch, name, ring, params, decided):
+    # exhaustive verify decides every distinct phi matrix once: each phi_gamma
+    # of direction 1 is also a phi of direction 2
+    ext = make_extension(catalog(name, params), ring)
+    ctx = ObstructionContext(ext, label=name, h2_max_order=ext.total.order)
+    calls = []
+    psi_generic = ObstructionContext.psi_generic
+
+    def counted(self, phi):
+        calls.append(phi.matrix)
+        return psi_generic(self, phi)
+
+    monkeypatch.setattr(ObstructionContext, "psi_generic", counted)
+    rep = ctx.verify_theorem(2)
+    assert len(calls) == len(set(calls)) == decided
+    assert rep["direction2"]["checked"] == decided
 
 
 def test_verify_sampled_deterministic():

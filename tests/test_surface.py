@@ -1,0 +1,56 @@
+"""The library holds only what a program path reaches.
+
+Every top-level function and class, and every method that is not a dunder,
+in src/soclecoh must be named somewhere in src/ outside its own definition,
+or be a traced entry point in bench/tracer.py's TARGETS.  Code that only
+tests call belongs in tests/helpers.py.  The scan is by word boundary, so a
+name counts as reached when it appears in any other line of src/.
+"""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "soclecoh").glob("*.py"))
+
+
+def traced_targets():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {f"{module}.{path}" for module, path, _ in tracer.TARGETS}
+
+
+def definitions(path):
+    """(qualified name, node) of top-level functions and classes and of
+    their non-dunder methods."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def unreached_names(sources, targets):
+    lines = {p: p.read_text().splitlines() for p in sources}
+    out = []
+    for path in sources:
+        for qual, node in definitions(path):
+            if f"{path.stem}.{qual}" in targets:
+                continue
+            word = re.compile(rf"\b{re.escape(qual.split('.')[-1])}\b")
+            own = lines[path][: node.lineno - 1] + lines[path][node.end_lineno :]
+            texts = ["\n".join(own)] + ["\n".join(lines[p]) for p in sources if p != path]
+            if not any(word.search(text) for text in texts):
+                out.append(f"{path.stem}.{qual}")
+    return out
+
+
+def test_every_library_name_has_a_program_caller():
+    assert unreached_names(SOURCES, traced_targets()) == []

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from helpers import image_row_tuples
 from soclecoh.errors import DimensionMismatch
 from soclecoh.zmodlin import (
     HowellBasis,
@@ -338,7 +339,7 @@ def test_linear_solver_kernel_matches_kernel():
         if all(sum(xi * r[j] for xi, r in zip(x, rows)) % 4 == 0 for j in range(2))
     ]
     assert s.kernel_row_tuples() == howell_form_rows(ker, 3, Z4).rows
-    assert s.image_row_tuples() == howell_form_rows(rows, 2, Z4).rows
+    assert image_row_tuples(s) == howell_form_rows(rows, 2, Z4).rows
 
 
 def test_ring_config_validation():
