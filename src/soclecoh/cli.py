@@ -110,10 +110,9 @@ def _load_group(args):
 def _context(args) -> ObstructionContext:
     if getattr(args, "m", None) is not None and args.m < 2:
         raise ValueError(f"obstruction commands need m >= 2, got {args.m}")
-    group, label = _load_group(args)
     ring = RingConfig(args.ell, args.n)
-    ext = make_extension(group, ring)
-    return ObstructionContext(ext, label=label, h2_max_order=args.max_order)
+    group, label = _load_group(args)
+    return ObstructionContext(make_extension(group, ring), label=label)
 
 
 def _check_count(flag, count):
@@ -292,7 +291,7 @@ def cmd_verify(args) -> int:
         _check_count("--samples", args.samples)
         mode = ("sampled", args.seed, args.samples)
     ctx = _context(args)
-    report = ctx.verify_theorem(args.m, mode=mode)
+    report = ctx.verify_theorem(args.m, mode=mode, max_order=args.max_order)
     report["command"] = "verify"
 
     def text(rep):
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_m=False):
+    def common(sp, with_m=False, h2_check=False):
         sp.add_argument("--catalog", help="catalog group name")
         sp.add_argument("--group-file", help="path to a group JSON file")
         sp.add_argument("--params", help="catalog parameters, key=value[,key=value]")
@@ -359,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True, help="the exponent n of l^n")
         if with_m:
             sp.add_argument("--m", type=int, required=True, help="filtration level (>= 2)")
-        sp.add_argument("--max-order", type=int, default=DEFAULT_H2_MAX_ORDER,
-                        help="largest total-group order allowed for the H^2 check")
+        if h2_check:
+            sp.add_argument("--max-order", type=int, default=DEFAULT_H2_MAX_ORDER,
+                            help="largest total-group order allowed for the H^2 check")
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_obstruction)
 
     sp = sub.add_parser("verify", help="check both directions of the main equivalence")
-    common(sp, with_m=True)
+    common(sp, with_m=True, h2_check=True)
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int, help="sampled mode: number of draws")
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("hypothesis", help="is inflation surjective on H^2?")
-    common(sp)
+    common(sp, h2_check=True)
     sp.set_defaults(func=cmd_hypothesis)
     return p
 

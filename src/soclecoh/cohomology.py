@@ -107,9 +107,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.values
 
-    def value(self, t):
-        return self.values.get(tuple(t), tuple([0] * self.action.module.rank))
-
     def add(self, other: "Cochain", sign: int = 1) -> "Cochain":
         orders = self.action.module.orders
         out = dict(self.values)

@@ -606,11 +606,13 @@ def _class2_table(d, q, comm_map, powers, central_orders):
     return [(a, c) for a in tops for c in cents], table
 
 
-def _table_group(elems, mul, gens, labelfunc=None, ell=None) -> FinGroup:
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
-    labels = [labelfunc(x) for x in elems] if labelfunc else None
-    return from_cayley_table(table, [index[g] for g in gens], labels=labels, ell=ell)
+def _abelian_product(ell, exps) -> FinGroup:
+    """Z/l^k_1 x ... x Z/l^k_d as a class-2 presentation over Z/l: e_i^l = z_i,
+    with z_i central of order l^(k_i - 1) for each k_i > 1, and no commutators."""
+    deep = [i for i, k in enumerate(exps) if k > 1]
+    powers = [tuple(int(i == j) for j in deep) for i in range(len(exps))]
+    central_orders = [ell ** (exps[i] - 1) for i in deep]
+    return from_class2_presentation(len(exps), RingConfig(ell, 1), {}, powers, central_orders)
 
 
 def catalog(name: str, params=None) -> FinGroup:
@@ -629,28 +631,23 @@ def catalog(name: str, params=None) -> FinGroup:
         ell = int(need("ell"))
         k = int(need("k", 1))
         _check_order(ell, k)
-        m = ell**k
-        elems = list(range(m))
-        return _table_group(elems, lambda x, y: (x + y) % m, [1] if m > 1 else [], str, ell=ell)
+        if k < 0:
+            raise ValueError(f"cyclic parameter 'k' must be >= 0, got {k}")
+        return _abelian_product(ell, [k] if k else [])
     if name == "elementary_abelian":
         ell = int(need("ell"))
         d = int(need("d"))
         _check_order(ell, d)
-        return catalog("abelian_product", {"ell": ell, "exponents": [1] * d})
+        if d < 0:
+            raise ValueError(f"elementary_abelian parameter 'd' must be >= 0, got {d}")
+        return _abelian_product(ell, [1] * d)
     if name == "abelian_product":
         ell = int(need("ell"))
         exps = [int(e) for e in need("exponents")]
         _check_order(ell, sum(exps))
-        mods = [ell**e for e in exps]
-        elems = list(product(*(range(m) for m in mods)))
-        gens = [
-            tuple(1 if i == k else 0 for i in range(len(mods))) for k in range(len(mods))
-        ]
-
-        def mul(x, y):
-            return tuple((a + b) % m for a, b, m in zip(x, y, mods))
-
-        return _table_group(elems, mul, gens, str, ell=ell)
+        if any(e < 1 for e in exps):
+            raise ValueError(f"abelian_product parameter 'exponents' needs entries >= 1, got {exps}")
+        return _abelian_product(ell, exps)
     if name == "quaternion8":
         ring = RingConfig(2, 1)
         return from_class2_presentation(
@@ -661,25 +658,16 @@ def catalog(name: str, params=None) -> FinGroup:
         return from_class2_presentation(
             2, ring, {(0, 1): (1,)}, [(1,), (0,)], central_orders=[2]
         )
-    if name == "heisenberg":
+    if name in ("heisenberg", "unitriangular3"):
+        # upper unitriangular 3x3 matrices mod l^n: [e1, e2] = z, all of order l^n;
+        # the Heisenberg group is the case n = 1
         ell = int(need("ell"))
-        _check_order(ell, 3)
-        ring = RingConfig(ell, 1)
-        return from_class2_presentation(
-            2, ring, {(0, 1): (1,)}, [(0,), (0,)], central_orders=[ell]
-        )
-    if name == "unitriangular3":
-        ell = int(need("ell"))
-        n = int(need("n"))
+        n = 1 if name == "heisenberg" else int(need("n"))
         _check_order(ell, 3 * n)
-        m = ell**n
-        elems = list(product(range(m), repeat=3))
-
-        def mul(x, y):
-            return ((x[0] + y[0]) % m, (x[1] + y[1]) % m, (x[2] + y[2] + x[0] * y[1]) % m)
-
-        return _table_group(elems, mul, [(1, 0, 0), (0, 1, 0)], str, ell=ell)
+        return from_class2_presentation(2, RingConfig(ell, n), {(0, 1): (1,)}, [(0,), (0,)])
     if name == "wreath_z4_z2":
+        # class 3, so no class-2 presentation: the table from the product of
+        # every pair of elements (a, b, s) of (Z/4)^2 x| Z/2
 
         def mul(x, y):
             a, b, si = x
@@ -689,7 +677,10 @@ def catalog(name: str, params=None) -> FinGroup:
             return ((a + c) % 4, (b + dd) % 4, (si + t) % 2)
 
         elems = [(a, b, s) for a in range(4) for b in range(4) for s in range(2)]
-        return _table_group(elems, mul, [(1, 0, 0), (0, 0, 1)], str, ell=2)
+        index = {e: i for i, e in enumerate(elems)}
+        table = [[index[mul(x, y)] for y in elems] for x in elems]
+        gens = [index[(1, 0, 0)], index[(0, 0, 1)]]
+        return from_cayley_table(table, gens, labels=[str(x) for x in elems], ell=2)
     if name == "free_class2":
         d = int(need("d"))
         ell = int(need("ell"))

@@ -28,8 +28,6 @@ from .zmodlin import (
     quotient_presentation,
 )
 
-DEFAULT_JM_EXHAUSTIVE_BOUND = 256
-
 # ---------------------------------------------------------------------------
 # Vector/matrix arithmetic with per-coordinate orders.
 # ---------------------------------------------------------------------------
@@ -401,9 +399,6 @@ class GroupRing:
     def d(self) -> int:
         return len(self.sigma)
 
-    def eps(self, v) -> int:
-        return sum(v) % self.ring.modulus
-
     def mult_by_elem(self, g: int, v):
         out = [0] * self.size
         perm = self._left[g]
@@ -456,8 +451,7 @@ class QuotientModule(QuotientPresentation):
 
     project_vec maps ambient row vectors to module coordinates; section_vec
     picks representatives; orders are the module's.  For i_m the ambient is
-    the rho-coordinate space of I (basis g - 1 for g != 1); for lambda_m it
-    is Lambda itself.
+    the rho-coordinate space of I (basis g - 1 for g != 1).
     """
 
     module: GModule
@@ -502,12 +496,11 @@ def i_m(gr: GroupRing, m: int) -> QuotientModule:
     return QuotientModule(amb, orders, qp.project, qp.section, ring, module)
 
 
-def lambda_m(gr: GroupRing, im: QuotientModule) -> QuotientModule:
+def lambda_m(gr: GroupRing, im: QuotientModule) -> GModule:
     """Lambda/I^m = R . 1  (+)  I_m, coordinates (eps part, I_m part), built on
     the I_m = i_m(gr, m) it extends."""
     ring = gr.ring
-    q = ring.modulus
-    orders = (q,) + im.module.orders
+    orders = (ring.modulus,) + im.module.orders
     actions = []
     for si, s in enumerate(gr.sigma):
         rows = []
@@ -518,19 +511,7 @@ def lambda_m(gr: GroupRing, im: QuotientModule) -> QuotientModule:
         for r in im.module.actions[si]:
             rows.append((0,) + tuple(r))
         actions.append(tuple(rows))
-    module = make_module(ring, orders, actions)
-    # project: Lambda coords -> (eps, I_m coords); section back
-    project = []
-    for g in range(gr.size):
-        rho = [0] * (gr.size - 1)
-        if g != 0:
-            rho[g - 1] = 1
-        project.append((1,) + im.project_vec(tuple(rho)))
-    one = tuple(1 if g == 0 else 0 for g in range(gr.size))
-    section = [one] + [
-        _lambda_of_rho(im.section_vec(y), ring) for y in mat_identity(im.module.orders)
-    ]
-    return QuotientModule(gr.size, orders, tuple(project), tuple(section), ring, module)
+    return make_module(ring, orders, actions)
 
 
 def lambda_action_matrix(jmod: GModule, elem_mats, lam_vec):
@@ -663,7 +644,7 @@ class ExtensionModules:
             self._im[m] = i_m(self.gr, m)
         return self._im[m]
 
-    def lambda_m(self, m: int) -> QuotientModule:
+    def lambda_m(self, m: int) -> GModule:
         if m not in self._lam:
             self._lam[m] = lambda_m(self.gr, self.i_m(m))
         return self._lam[m]

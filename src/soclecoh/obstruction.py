@@ -46,7 +46,6 @@ from .errors import (
 )
 from .fingroup import ExtensionData
 from .gmodule import (
-    DEFAULT_JM_EXHAUSTIVE_BOUND,
     ExtensionModules,
     GModule,
     descale_vec,
@@ -65,6 +64,7 @@ from .gmodule import (
 from .zmodlin import contains, span_orders
 
 DEFAULT_HOM_ENUM_BOUND = 4096
+DEFAULT_JM_EXHAUSTIVE_BOUND = 256
 
 
 def _check_phi_shape(ctx: "ObstructionContext", m: int, matrix) -> None:
@@ -133,11 +133,10 @@ class ObstructionResult:
 class ObstructionContext:
     """All caches for one extension: modules, factor set, solvers."""
 
-    def __init__(self, ext: ExtensionData, label: str = "", h2_max_order: int = DEFAULT_H2_MAX_ORDER):
+    def __init__(self, ext: ExtensionData, label: str = ""):
         self.ext = ext
         self.ring = ext.ring
         self.label = label
-        self.h2_max_order = h2_max_order
         self.em = ExtensionModules(ext)
         self.alpha = extension_cocycle(ext, self.em.j)
         self.r_action = CoeffAction.trivial(ext.quotient, self.ring)
@@ -164,7 +163,7 @@ class ObstructionContext:
     def dual_sequence(self, m: int) -> CoefficientSES:
         """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1)=0 section."""
         if m not in self._ses:
-            mid = action_for_quotient_module(self.ext, dual(self.em.lambda_m(m).module))
+            mid = action_for_quotient_module(self.ext, dual(self.em.lambda_m(m)))
             self._ses[m] = CoefficientSES(mid, self.im_dual_action(m))
         return self._ses[m]
 
@@ -330,12 +329,13 @@ class ObstructionContext:
         flat = chain.from_iterable(phi.matrix)
         return contains(self._image[m], scale_vec(flat, orders, self.ring))
 
-    def verify_theorem(self, m: int, mode=("exhaustive",)):
+    def verify_theorem(self, m: int, mode=("exhaustive",), max_order: int = DEFAULT_H2_MAX_ORDER):
         """Check both theorem directions and report, JSON-ready.
 
         mode is ("exhaustive",) or ("sampled", seed, count).  direction2 is
         asserted only under the inflation hypothesis; otherwise its observed
-        status is recorded without judgement.
+        status is recorded without judgement.  max_order bounds the total
+        group order of the H^2 hypothesis check.
         """
         em = self.em
         jmod = em.j.module
@@ -360,7 +360,7 @@ class ObstructionContext:
             ]
             phis = list(self.random_phi(m, random.Random(seed + 1), count))
             mode_label = f"sampled(seed={seed},count={count})"
-        holds, hyp = inflation_h2_surjective(self.ext, max_order=self.h2_max_order)
+        holds, hyp = inflation_h2_surjective(self.ext, max_order=max_order)
 
         # many gammas share one phi_gamma, and in exhaustive mode each phi_gamma
         # is also a phi of direction 2

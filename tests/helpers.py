@@ -35,7 +35,6 @@ from soclecoh.fingroup import (
     quotient,
 )
 from soclecoh.gmodule import (
-    DEFAULT_JM_EXHAUSTIVE_BOUND,
     ExtensionModules,
     GModule,
     GroupRing,
@@ -55,7 +54,7 @@ from soclecoh.gmodule import (
     scaled_span,
     vec_reduce,
 )
-from soclecoh.obstruction import ObstructionContext, PhiMap
+from soclecoh.obstruction import DEFAULT_JM_EXHAUSTIVE_BOUND, ObstructionContext, PhiMap
 from soclecoh.zmodlin import (
     HowellBasis,
     LinearSolver,
@@ -125,6 +124,47 @@ def mixer32():
     table = [[index[mul(x, y)] for y in elems] for x in elems]
     gens = [index[((0, 0, 0), 1, 0)], index[((0, 0, 0), 0, 1)]]
     return from_cayley_table(table, gens, ell=2)
+
+
+def per_pair_catalog(name: str, params) -> FinGroup:
+    """The abelian and unitriangular catalog families from the product of
+    every pair of coordinate tuples, as the catalog built them before it
+    used class-2 presentations; the test oracle for those presentations."""
+    ell = params["ell"]
+    if name == "cyclic":
+        m = ell ** params.get("k", 1)
+        elems = list(range(m))
+        return _per_pair_group(elems, lambda x, y: (x + y) % m, [1] if m > 1 else [], ell)
+    if name in ("elementary_abelian", "abelian_product"):
+        exps = params["exponents"] if name == "abelian_product" else [1] * params["d"]
+        mods = [ell**e for e in exps]
+        elems = list(iproduct(*(range(m) for m in mods)))
+        gens = [tuple(int(i == k) for i in range(len(mods))) for k in range(len(mods))]
+
+        def mul(x, y):
+            return tuple((a + b) % m for a, b, m in zip(x, y, mods))
+
+        return _per_pair_group(elems, mul, gens, ell)
+    if name in ("heisenberg", "unitriangular3"):
+        m = ell ** (1 if name == "heisenberg" else params["n"])
+        elems = list(iproduct(range(m), repeat=3))
+
+        def mul(x, y):
+            return ((x[0] + y[0]) % m, (x[1] + y[1]) % m, (x[2] + y[2] + x[0] * y[1]) % m)
+
+        return _per_pair_group(elems, mul, [(1, 0, 0), (0, 1, 0)], ell)
+    raise ValueError(f"no per-pair oracle for {name!r}")
+
+
+def _per_pair_group(elems, mul, gens, ell) -> FinGroup:
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[mul(x, y)] for y in elems] for x in elems]
+    return from_cayley_table(table, [index[g] for g in gens], labels=[str(x) for x in elems], ell=ell)
+
+
+def cochain_value(c: Cochain, t):
+    """c on the tuple t, zero where c has no stored value."""
+    return c.values.get(tuple(t), tuple([0] * c.action.module.rank))
 
 
 def cocycle_basis(cc: CochainComplex, k: int) -> HowellBasis:
@@ -310,6 +350,17 @@ def group_ring_mult(gr: GroupRing, v, w):
     return tuple(out)
 
 
+def group_ring_eps(gr: GroupRing, v) -> int:
+    """The augmentation of an element of Z/l^n[G]: its coefficient sum."""
+    return sum(v) % gr.ring.modulus
+
+
+def lambda_m_project_vec(gr: GroupRing, im: QuotientModule, v):
+    """Lambda -> Lambda/I^m in lambda_m's coordinates (eps part, I_m part):
+    v = eps(v) . 1 + sum over g != 1 of v_g (g - 1)."""
+    return (group_ring_eps(gr, v),) + im.project_vec(tuple(v[1:]))
+
+
 def regular_module(gr: GroupRing) -> GModule:
     """Lambda as a module over itself: free of rank |G|, permutation actions."""
     q = gr.ring.modulus
@@ -351,10 +402,9 @@ def jm_via_invariant_homs(em: ExtensionModules, m: int):
     f |-> f(1) onto J_m, the restriction map, and verification bits for the
     commuting square (exhaustive over J_m when it is small).
     """
-    lam = em.lambda_m(m)
     im = em.i_m(m)
     jmod = em.j.module
-    hom_lam, basis_lam = hom_g(lam.module, jmod)
+    hom_lam, basis_lam = hom_g(em.lambda_m(m), jmod)
     hom_im, basis_im = hom_g(im.module, jmod)
     jm_basis = em.socle.basis(m)
 

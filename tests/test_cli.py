@@ -255,14 +255,76 @@ def test_exit_5_on_misshapen_phi(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_exit_4_on_group_order_bound():
-    # the order is checked from the parameters, before any table is built
+# Catalog parameters, each with its exit code and either the report's sha256
+# or the reason on stderr.  The codes are those of the per-pair builders the
+# class-2 presentations replaced, except two cases those got wrong: l = 1
+# hung, and elementary_abelian with d = -1 built the trivial group.  A group
+# order is checked from the parameters, before any table is built.
+CATALOG_PROBES = {
+    "cyclic_trivial": (
+        ("cyclic", "k=0"), 0,
+        "925c2a2d333d47c142e36f6f31261ddf0ca17a55ee6d208482320cdb5ace4000",
+    ),
+    "cyclic_negative": (("cyclic", "k=-1"), 2, "cyclic parameter 'k' must be >= 0, got -1"),
+    "cyclic_composite_ell": (("cyclic", "ell=4"), 2, "ell must be prime, got 4"),
+    "cyclic_ell_one": (("cyclic", "ell=1"), 2, "ell must be prime, got 1"),
+    "abelian_empty": (
+        ("abelian_product", "exponents=[]"), 0,
+        "1285e0848a4b91f29689c4291b687a230f57707674393505a65e8a2dc2b4b0eb",
+    ),
+    "abelian_zero": (("abelian_product", "exponents=[0]"), 2, "'exponents' needs entries >= 1, got [0]"),
+    "abelian_trailing_zero": (
+        ("abelian_product", "exponents=[1,0]"), 2, "'exponents' needs entries >= 1, got [1, 0]",
+    ),
+    "abelian_negative": (("abelian_product", "exponents=[-1]"), 2, "'exponents' needs entries >= 1, got [-1]"),
+    "abelian_composite_ell": (("abelian_product", "exponents=[1],ell=4"), 2, "ell must be prime, got 4"),
+    "elementary_abelian_negative": (("elementary_abelian", "d=-1"), 2, "parameter 'd' must be >= 0, got -1"),
+    "unitriangular_n0": (("unitriangular3", "n=0"), 2, "n must be >= 1, got 0"),
+    "heisenberg_composite_ell": (("heisenberg", "ell=4"), 2, "ell must be prime, got 4"),
+    "cyclic_too_big": (("cyclic", "k=10"), 4, "group order: limit 512, got 2^10"),
+    "abelian_too_big": (("abelian_product", "exponents=[5,5]"), 4, "group order: limit 512, got 2^10"),
+    "elementary_abelian_too_big": (("elementary_abelian", "d=10"), 4, "group order: limit 512, got 2^10"),
+    "heisenberg_too_big": (("heisenberg", "ell=11"), 4, "group order: limit 512, got 11^3"),
+    "unitriangular_too_big": (("unitriangular3", "n=4"), 4, "group order: limit 512, got 2^12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CATALOG_PROBES))
+def test_catalog_parameter_probes(case):
+    (name, params), code, expect = CATALOG_PROBES[case]
     proc, elapsed = run_process(
-        "socle", "--catalog", "cyclic", "--params", "k=10", "--ell", "2", "--n", "1"
+        "socle", "--catalog", name, "--params", params, "--ell", "2", "--n", "1"
     )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
     assert elapsed < 5
-    assert proc.returncode == 4
-    assert "group order: limit 512, got 2^10" in proc.stderr
+    if code == 0:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == expect
+    else:
+        assert expect in proc.stderr
+
+
+def test_exit_2_on_ell_one_with_group_file(tmp_path):
+    # --ell is checked before the group is built: the l-power check on the
+    # table's element orders never ends for l = 1
+    gf = tmp_path / "g.json"
+    gf.write_text(json.dumps({"cayley": [[0, 1], [1, 0]], "generators": [1]}))
+    proc, elapsed = run_process("socle", "--group-file", str(gf), "--ell", "1", "--n", "1")
+    assert proc.returncode == 2
+    assert "ell must be prime, got 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("command", ["socle", "obstruction"])
+def test_max_order_only_where_it_is_read(command):
+    # only verify and hypothesis run the H^2 check that --max-order bounds
+    level = ("--m", "2", "--enumerate") if command == "obstruction" else ()
+    proc, _ = run_process(
+        command, "--catalog", "quaternion8", "--ell", "2", "--n", "1", *level, "--max-order", "1"
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --max-order 1" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

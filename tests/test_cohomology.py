@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     bar_inflation_h2,
+    cochain_value,
     cocycle_basis,
     cohomology_rank,
     connecting_via_lift,
@@ -95,7 +96,7 @@ def test_differential_degree0_nontrivial_action():
             if g == ext.quotient.identity:
                 continue
             want = tuple((a - b) % 2 for a, b in zip(act.act(g, v), v))
-            assert dc.value((g,)) == (want if any(want) else (0, 0))
+            assert cochain_value(dc, (g,)) == (want if any(want) else (0, 0))
 
 
 def test_dd_zero_exhaustive_small():
@@ -136,11 +137,11 @@ def brute_differential(f):
     k = f.degree
     out = {}
     for tup in product(grp.elements(), repeat=k + 1):
-        terms = [act.act(tup[0], f.value(tup[1:]))]
+        terms = [act.act(tup[0], cochain_value(f, tup[1:]))]
         for i in range(k):
             merged = tup[:i] + (grp.mul(tup[i], tup[i + 1]),) + tup[i + 2 :]
-            terms.append(tuple((-1) ** (i + 1) * x for x in f.value(merged)))
-        terms.append(tuple((-1) ** (k + 1) * x for x in f.value(tup[:k])))
+            terms.append(tuple((-1) ** (i + 1) * x for x in cochain_value(f, merged)))
+        terms.append(tuple((-1) ** (k + 1) * x for x in cochain_value(f, tup[:k])))
         out[tup] = tuple(sum(col) % o for col, o in zip(zip(*terms), orders))
     return out
 
@@ -169,7 +170,7 @@ def test_differential_matches_bar_formula():
                 f = random_cochain(act, degree, rng, support=support)
                 want = brute_differential(f)
                 got = differential(f)
-                assert all(got.value(t) == v for t, v in want.items())
+                assert all(cochain_value(got, t) == v for t, v in want.items())
                 assert all(t in want for t in got.values)
 
 
@@ -293,7 +294,7 @@ def test_z4_over_z2_factor_set():
     ext = make_extension(catalog("cyclic", {"ell": 2, "k": 2}), R2)
     ec = extension_cocycle(ext)
     sigma = ext.sigma[0]
-    assert ec.alpha.value((sigma, sigma)) == (1,)
+    assert cochain_value(ec.alpha, (sigma, sigma)) == (1,)
     c = d2_on_E01(ec, ((1,),), CoeffAction.trivial(ext.quotient, R2))
     assert CochainComplex(c.action).coboundary_witness(c) is None
 
@@ -695,7 +696,7 @@ def test_cup_refuses_other_coefficients():
 
 def dual_sequence(em, m):
     """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1) = 0 section."""
-    mid = action_for_quotient_module(em.ext, dual(em.lambda_m(m).module))
+    mid = action_for_quotient_module(em.ext, dual(em.lambda_m(m)))
     quot = action_for_quotient_module(em.ext, dual(em.i_m(m).module))
     return CoefficientSES(mid, quot)
 

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from helpers import per_pair_catalog
 from soclecoh import fingroup
 from soclecoh.errors import (
     GeneratorsDontGenerate,
@@ -392,6 +393,53 @@ def test_catalog_orders():
     assert catalog("free_class2", {"d": 2, "ell": 2, "n": 1}).order == 32
     assert catalog("unitriangular3", {"ell": 2, "n": 2}).order == 64
     assert catalog("cyclic", {"ell": 2, "k": 1}).order == 2
+
+
+def exponent_lists(total):
+    """Every list of positive exponents summing to total, in every order."""
+    if total == 0:
+        yield []
+    for first in range(1, total + 1):
+        for rest in exponent_lists(total - first):
+            yield [first, *rest]
+
+
+def oracle_cases():
+    """Catalog parameter sets up to order 512 for the class-2 presentations
+    of the abelian and unitriangular families: every cyclic, elementary
+    abelian, Heisenberg and unitriangular case at l = 2, 3, 5, 7; every
+    exponent list of order at most 64 (l = 2), 27, 125 or 49 (l = 3, 5, 7);
+    larger primes; and abelian products of order 243 to 512 in several
+    shapes."""
+    for ell, top in [(2, 9), (3, 5), (5, 3), (7, 3), (11, 2), (13, 2), (23, 1)]:
+        for k in range(top + 1):
+            yield "cyclic", {"ell": ell, "k": k}
+            yield "elementary_abelian", {"ell": ell, "d": k}
+            if 1 <= k and 3 * k <= top:
+                yield "unitriangular3", {"ell": ell, "n": k}
+        if 3 <= top:
+            yield "heisenberg", {"ell": ell}
+    for ell, top in [(2, 6), (3, 3), (5, 3), (7, 2)]:
+        for total in range(top + 1):
+            for exps in exponent_lists(total):
+                yield "abelian_product", {"ell": ell, "exponents": exps}
+    for exps in ([3, 3, 3], [2, 2, 2, 1, 1, 1]):
+        yield "abelian_product", {"ell": 2, "exponents": exps}
+    for exps in ([2, 2, 1], [1, 1, 3]):
+        yield "abelian_product", {"ell": 3, "exponents": exps}
+    yield "abelian_product", {"ell": 7, "exponents": [1, 2]}
+
+
+def test_class2_catalog_families_match_per_pair_oracle():
+    cases = list(oracle_cases())
+    orders = set()
+    for name, params in cases:
+        got, want = catalog(name, params), per_pair_catalog(name, params)
+        assert (got.cayley, got.generators, got.identity) == (
+            want.cayley, want.generators, want.identity,
+        ), (name, params)
+        orders.add(got.order)
+    assert {1, 343, 512} <= orders and len(cases) > 150
 
 
 def test_catalog_dihedral_vs_quaternion():

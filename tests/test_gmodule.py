@@ -4,7 +4,14 @@ from itertools import product
 
 import pytest
 
-from helpers import group_ring_mult, jm_via_invariant_homs, quotient_module, regular_module
+from helpers import (
+    group_ring_eps,
+    group_ring_mult,
+    jm_via_invariant_homs,
+    lambda_m_project_vec,
+    quotient_module,
+    regular_module,
+)
 from soclecoh.errors import NotFreeModule, NotNilpotent
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.gmodule import (
@@ -49,8 +56,8 @@ def test_group_ring_z2():
     g = catalog("cyclic", {"ell": 2, "k": 1})
     gr = GroupRing(g, R2)
     assert gr.size == 2
-    assert gr.eps((1, 1)) == 0
-    assert gr.eps((1, 0)) == 1
+    assert group_ring_eps(gr, (1, 1)) == 0
+    assert group_ring_eps(gr, (1, 0)) == 1
     # (1 + sigma)^2 = 1 + 2 sigma + sigma^2 = 0 over F2[Z/2]
     v = (1, 1)
     assert group_ring_mult(gr, v, v) == (0, 0)
@@ -126,8 +133,8 @@ def test_lambda_1_is_trivial_rank_one():
     ext = ext_of("quaternion8", R2)
     gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
     lam = lambda_m(gr, i_m(gr, 1))
-    assert lam.module.orders == (2,)
-    assert all(a == ((1,),) for a in lam.module.actions)
+    assert lam.orders == (2,)
+    assert all(a == ((1,),) for a in lam.actions)
 
 
 def test_i2_trivial_rank2_f2():
@@ -152,15 +159,15 @@ def test_lambda_m_splits_off_i_m():
     for m in (1, 2, 3):
         im = i_m(gr, m)
         lam = lambda_m(gr, im)
-        assert lam.module.orders == (2,) + im.module.orders
-        one = lam.project_vec(tuple(1 if g == 0 else 0 for g in range(gr.size)))
+        assert lam.orders == (2,) + im.module.orders
+        one = lambda_m_project_vec(gr, im, tuple(1 if g == 0 else 0 for g in range(gr.size)))
         assert one == (1,) + (0,) * im.module.rank
         # projection respects multiplication by sigma on representatives
         for si, s in enumerate(gr.sigma):
             for g in range(gr.size):
                 v = tuple(1 if x == g else 0 for x in range(gr.size))
-                lhs = lam.project_vec(gr.mult_by_elem(s, v))
-                rhs = mat_apply(lam.project_vec(v), lam.module.actions[si], lam.module.orders)
+                lhs = lambda_m_project_vec(gr, im, gr.mult_by_elem(s, v))
+                rhs = mat_apply(lambda_m_project_vec(gr, im, v), lam.actions[si], lam.orders)
                 assert lhs == rhs
 
 

@@ -597,7 +597,7 @@ def test_verify_decides_each_phi_matrix_once(monkeypatch, name, ring, params, de
     # exhaustive verify decides every distinct phi matrix once: each phi_gamma
     # of direction 1 is also a phi of direction 2
     ext = make_extension(catalog(name, params), ring)
-    ctx = ObstructionContext(ext, label=name, h2_max_order=ext.total.order)
+    ctx = ObstructionContext(ext, label=name)
     calls = []
     psi_generic = ObstructionContext.psi_generic
 
@@ -606,7 +606,7 @@ def test_verify_decides_each_phi_matrix_once(monkeypatch, name, ring, params, de
         return psi_generic(self, phi)
 
     monkeypatch.setattr(ObstructionContext, "psi_generic", counted)
-    rep = ctx.verify_theorem(2)
+    rep = ctx.verify_theorem(2, max_order=ext.total.order)
     assert len(calls) == len(set(calls)) == decided
     assert rep["direction2"]["checked"] == decided
 

@@ -3,8 +3,10 @@
 Every top-level function and class, and every method that is not a dunder,
 in src/soclecoh must be named somewhere in src/ outside its own definition,
 or be a traced entry point in bench/tracer.py's TARGETS.  Code that only
-tests call belongs in tests/helpers.py.  The scan is by word boundary, so a
-name counts as reached when it appears in any other line of src/.
+tests call belongs in tests/helpers.py.  A function or class counts as
+reached when its name appears as a word in any other line of src/; a method
+only when it appears as an attribute, `.name`, so that a method called
+`value` is not reached by the ordinary word "value".
 """
 
 import ast
@@ -44,7 +46,8 @@ def unreached_names(sources, targets):
         for qual, node in definitions(path):
             if f"{path.stem}.{qual}" in targets:
                 continue
-            word = re.compile(rf"\b{re.escape(qual.split('.')[-1])}\b")
+            name = re.escape(qual.split(".")[-1])
+            word = re.compile(rf"\.{name}\b" if "." in qual else rf"\b{name}\b")
             own = lines[path][: node.lineno - 1] + lines[path][node.end_lineno :]
             texts = ["\n".join(own)] + ["\n".join(lines[p]) for p in sources if p != path]
             if not any(word.search(text) for text in texts):
