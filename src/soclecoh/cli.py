@@ -14,6 +14,7 @@ Exit codes are fixed so harnesses can assert precisely:
 from __future__ import annotations
 
 import argparse
+from contextlib import contextmanager
 import hashlib
 import json
 import random
@@ -45,12 +46,23 @@ EXIT_ASSUMPTION = 3
 EXIT_SIZE = 4
 EXIT_EQUIVARIANCE = 5
 
+
+class _InputError(Exception):
+    """A flag or an input file is malformed."""
+
+
+@contextmanager
+def _reading_input():
+    """Builtin errors raised while input is read are input errors; raised
+    anywhere else they are library faults, and keep their traceback."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        raise _InputError(exc) from exc
+
+
 _PARSE_ERRORS = (
-    ValueError,
-    KeyError,
-    TypeError,
-    OSError,
-    json.JSONDecodeError,
+    _InputError,
     NotAGroup,
     NotEllGroup,
     GeneratorsDontGenerate,
@@ -109,16 +121,17 @@ def _load_group(args):
 
 def _context(args) -> ObstructionContext:
     if getattr(args, "m", None) is not None and args.m < 2:
-        raise ValueError(f"obstruction commands need m >= 2, got {args.m}")
-    ring = RingConfig(args.ell, args.n)
-    group, label = _load_group(args)
+        raise _InputError(f"obstruction commands need m >= 2, got {args.m}")
+    with _reading_input():
+        ring = RingConfig(args.ell, args.n)
+        group, label = _load_group(args)
     return ObstructionContext(make_extension(group, ring), label=label)
 
 
 def _check_count(flag, count):
     """A phi count is checked before any group or module is built."""
     if count < 1:
-        raise ValueError(f"{flag} needs a count >= 1, got {count}")
+        raise _InputError(f"{flag} needs a count >= 1, got {count}")
     if count > DEFAULT_HOM_ENUM_BOUND:
         raise SizeBound(f"{flag} count", DEFAULT_HOM_ENUM_BOUND, count)
 
@@ -131,8 +144,14 @@ def _cochain_dump(c):
 
 
 def _cochain_hash(c) -> str:
-    blob = json.dumps(_cochain_dump(c), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """sha256 of _cochain_dump(c) as compact sorted JSON, fed entry by entry."""
+    h = hashlib.sha256(b'{"degree":%d,"entries":[' % c.degree)
+    sep = ""
+    for tup in sorted(c.values):
+        h.update(f"{sep}[[{','.join(map(str, tup))}],[{','.join(map(str, c.values[tup]))}]]".encode())
+        sep = ","
+    h.update(b"]}")
+    return h.hexdigest()
 
 
 def _emit(report, args, text_renderer):
@@ -141,7 +160,7 @@ def _emit(report, args, text_renderer):
     else:
         payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _reading_input(), open(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -204,12 +223,12 @@ def _phi_matrix(spec, m):
 def _phi_records(ctx, args):
     m = args.m
     if args.phi_file:
-        with open(args.phi_file) as fh:
-            spec = json.load(fh)
-        yield ctx.phi_from_matrix(m, _phi_matrix(spec, m))
+        with _reading_input(), open(args.phi_file) as fh:
+            matrix = _phi_matrix(json.load(fh), m)
+        yield ctx.phi_from_matrix(m, matrix)
     elif args.random is not None:
         if args.seed is None:
-            raise ValueError("--random needs --seed")
+            raise _InputError("--random needs --seed")
         yield from ctx.random_phi(m, random.Random(args.seed), args.random)
     else:
         yield from ctx.enumerate_phi(m)
@@ -219,7 +238,7 @@ def cmd_obstruction(args) -> int:
     if args.random is not None:
         _check_count("--random", args.random)
     elif args.seed is not None:
-        raise ValueError("--seed needs --random")
+        raise _InputError("--seed needs --random")
     ctx = _context(args)
     want_routes = args.routes
     records = []
@@ -287,7 +306,7 @@ def cmd_verify(args) -> int:
         mode = ("exhaustive",)
     else:
         if args.seed is None:
-            raise ValueError("--samples needs --seed")
+            raise _InputError("--samples needs --seed")
         _check_count("--samples", args.samples)
         mode = ("sampled", args.seed, args.samples)
     ctx = _context(args)

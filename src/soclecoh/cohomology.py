@@ -397,6 +397,12 @@ class CyclicTensorResolution:
             raise DimensionMismatch(f"the chain map stops at degree {len(self.chain_map) - 1}")
         if not is_cocycle(f):
             raise NotACocycle(f"degree-{f.degree} cochain is not a cocycle")
+        return self.vanishes_on_chain_map(f)
+
+    def vanishes_on_chain_map(self, f: Cochain) -> bool:
+        """Does f vanish on every phi_k(e_a)?  Unguarded: for a Z/q-valued
+        cocycle of degree <= 3, which the caller vouches for, that is
+        [f] = 0."""
         values = f.values
         return all(
             sum(c * values[t][0] for t, c in chain.items() if t in values) % self.modulus == 0

@@ -231,11 +231,14 @@ class ObstructionContext:
         return d2_on_E01(self.alpha, self.x_phi_matrix(phi), self.im_dual_action(phi.m))
 
     def psi_generic(self, phi: PhiMap) -> ObstructionResult:
+        """Psi(phi) = delta(d2(phi)) and its H^3 bit.  Psi is not checked again
+        for the cocycle property: delta maps the cocycle d2(phi) to a cocycle,
+        and each premise is checked at run time (README, "The H^3 decision")."""
         d2c = self.d2_of_phi(phi)
         psi = connecting(self.dual_sequence(phi.m), d2c)
         return ObstructionResult(
             psi_cocycle=psi,
-            is_zero_class=self.resolution.is_coboundary(psi),
+            is_zero_class=self.resolution.vanishes_on_chain_map(psi),
             routes={"generic": psi},
         )
 

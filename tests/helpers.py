@@ -126,6 +126,23 @@ def mixer32():
     return from_cayley_table(table, gens, ell=2)
 
 
+# (ell, n, order of z) for twisted_class2_spec: the hypothesis holds at each,
+# with J cyclic under the trivial action
+TWISTED_CLASS2 = ((3, 1, 3), (2, 2, 4), (2, 2, 2), (5, 1, 5))
+
+
+def twisted_class2_spec(ell: int, n: int, central_order: int) -> dict:
+    """Group JSON of [e1, e2] = z, e1^q = z, e2^q = 1, with z central of
+    order central_order and q = ell^n.  Inflation is surjective on H^2 for
+    these groups, so `verify` asserts direction 2 on them past l^n = 2."""
+    return {
+        "class2": {
+            "d": 2, "ell": ell, "n": n, "commutators": {"0,1": [1]},
+            "powers": [[1], [0]], "central_orders": [central_order],
+        }
+    }
+
+
 def per_pair_catalog(name: str, params) -> FinGroup:
     """The abelian and unitriangular catalog families from the product of
     every pair of coordinate tuples, as the catalog built them before it

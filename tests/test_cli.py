@@ -10,7 +10,8 @@ import time
 import pytest
 
 import soclecoh
-from helpers import mixer32
+from helpers import TWISTED_CLASS2, mixer32, twisted_class2_spec
+from soclecoh import obstruction
 from soclecoh.cli import main
 from soclecoh.cohomology import CochainComplex, CoeffAction, Cochain, differential
 from soclecoh.fingroup import catalog, make_extension
@@ -514,6 +515,64 @@ def test_order_256_obstruction_with_order_32_quotient():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "bbfbb16a5f773eb0b4bfd711b17cea970a204c1b2a2594a5903bbf3c8b9cf657"
     )
+
+
+def test_order_512_obstruction_with_order_64_quotient():
+    # |G| = 64: the report is pinned from the route that re-checked each Psi
+    # with the degree-3 guard, which took about 3.1 s in-process
+    proc, elapsed = run_process(
+        "obstruction", "--catalog", "abelian_product", "--params", "exponents=[2,2,2,1,1,1]",
+        "--ell", "2", "--n", "1", "--m", "2", "--random", "2", "--seed", "1",
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 30
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "ce10ef3897bf4216de4ac44d02b2e551258bdee9124a955578a384c6824106b8"
+    )
+
+
+# (direction-2 phis checked, zero classes, image size) of exhaustive verify on
+# the twisted class-2 groups, the same at m = 2 and 3: J = J_1 is cyclic, so
+# every phi_gamma is 0, and 0 is the one phi with a zero class
+TWISTED_VERIFY = {
+    (3, 1, 3): (9, 1, 1), (2, 2, 4): (16, 1, 1), (2, 2, 2): (4, 1, 1), (5, 1, 5): (25, 1, 1),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("case", TWISTED_CLASS2)
+def test_verify_asserts_direction2_past_ell_n_2(capsys, tmp_path, case, m):
+    # groups where the H^2 hypothesis holds at l^n in {3, 4, 5}: direction 2
+    # is asserted, and it passes
+    ell, n, _ = case
+    gf = tmp_path / "g.json"
+    gf.write_text(json.dumps(twisted_class2_spec(*case)))
+    code, out, _ = run(
+        capsys, "verify", "--group-file", str(gf), "--ell", str(ell), "--n", str(n),
+        "--m", str(m), "--exhaustive", "--max-order", "125",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    d2 = rep["direction2"]
+    assert rep["hypothesis"]["holds"] and rep["direction1"]["passed"]
+    assert d2["asserted"] and d2["passed"] and rep["counterexamples"] == []
+    assert (d2["checked"], d2["zero_class_count"], d2["image_size"]) == TWISTED_VERIFY[case]
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError])
+def test_library_fault_is_not_an_input_error(monkeypatch, exc):
+    # a builtin error raised mid-computation is a fault of the library, not an
+    # input error: it keeps its traceback instead of exiting 2
+    def fault(*args):
+        raise exc("vector is not in the scaled image")
+
+    monkeypatch.setattr(obstruction, "descale_vec", fault)
+    with pytest.raises(exc, match="scaled image"):
+        main([
+            "verify", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
+            "--exhaustive",
+        ])
 
 
 def test_heisenberg5_exhaustive_verify():

@@ -1123,6 +1123,30 @@ def test_extension_cocycle_transversal_independence():
         assert cc.coboundary_witness(diff) is not None, name
 
 
+def test_extension_cocycle_refuses_non_additive_coordinates():
+    # alpha is a cocycle because the kernel's coordinate map is additive: the
+    # factor set pushed through a map changed at one kernel element is not a
+    # cocycle, and extension_cocycle refuses it
+    from dataclasses import replace
+
+    from soclecoh.gmodule import module_J
+
+    for name, ring, params in (
+        ("unitriangular3", R4, {"ell": 2, "n": 2}),
+        ("heisenberg", R3, {"ell": 3}),
+    ):
+        ext = make_extension(catalog(name, params), ring)
+        bundle = module_J(ext)
+        extension_cocycle(ext, bundle)
+        (q,) = bundle.hab.orders
+        for h, (v,) in bundle.h_coords.items():
+            if not v:
+                continue
+            bent = replace(bundle, h_coords={**bundle.h_coords, h: ((v + 1) % q,)})
+            with pytest.raises(NotACocycle, match="factor set"):
+                extension_cocycle(ext, bent)
+
+
 def test_i2_free_on_rho_basis_for_free_quotients():
     # I/I^2 is trivial and free of rank d on the images of sigma_i - 1
     from soclecoh.gmodule import GroupRing, i_m, scaled_span

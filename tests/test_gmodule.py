@@ -496,3 +496,19 @@ def test_phi_gamma_linearity():
                 for r1, r2 in zip(f1, f2)
             )
             assert fs == addf
+
+
+def test_gmodule_refuses_a_non_module():
+    # a G-module needs reduced, well-defined entries, A^q = 1 and commuting
+    # actions; the connecting map's middle module relies on each
+    swap = ((0, 1), (1, 0))
+    shear = ((1, 1), (0, 1))
+    GModule(R2, (2, 2), (swap, swap))
+    with pytest.raises(ValueError, match="do not commute"):
+        GModule(R2, (2, 2), (swap, shear))
+    with pytest.raises(ValueError, match="order does not divide"):
+        GModule(R2, (2, 2), (((1, 1), (1, 0)),))
+    with pytest.raises(ValueError, match="not well-defined"):
+        GModule(R4, (2, 4), (((1, 1), (0, 1)),))
+    with pytest.raises(ValueError, match="not reduced"):
+        GModule(R2, (2, 2), (((1, 2), (0, 1)),))

@@ -1,18 +1,28 @@
 """The obstruction map: three routes, the quotient recipe, and the theorem."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from helpers import build_g_phi, d2_via_g_phi, image_membership_via_solve, mixer32
+from helpers import (
+    TWISTED_CLASS2,
+    build_g_phi,
+    d2_via_g_phi,
+    image_membership_via_solve,
+    mixer32,
+    twisted_class2_spec,
+)
 from soclecoh import gmodule
-from soclecoh.cohomology import CochainComplex, cup, is_cocycle
+from soclecoh.cli import _cochain_dump, _cochain_hash
+from soclecoh.cohomology import CochainComplex, Cochain, cup, is_cocycle
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
-from soclecoh.fingroup import catalog, make_extension
+from soclecoh.fingroup import catalog, group_from_json, make_extension
 from soclecoh.gmodule import vec_reduce
-from soclecoh.obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext
+from soclecoh.obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext, PhiMap
 from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig
 
 R2 = RingConfig(2, 1)
@@ -187,26 +197,139 @@ def test_psi_generic_takes_no_whole_differential(monkeypatch):
         for phi in phis:
             ctx.psi_generic(phi)
         monkeypatch.undo()
-        assert phis and whole == [] and cut.count(2) == len(phis), (name, m, cut)
+        # one degree-2 cut per phi, connecting's guard on d2(phi); Psi itself
+        # is not checked again, so no degree-3 differential runs
+        assert phis and whole == [] and cut == [2] * len(phis), (name, m, cut)
 
 
-def test_psi_generic_rejects_a_non_cocycle(monkeypatch):
-    # the H^3 decision keeps the cocycle guard: a Psi changed at one tuple fails it
+def test_psi_generic_refuses_a_broken_per_phi_premise(monkeypatch):
+    # Psi = delta(d2(phi)) is a cocycle because d2(phi) is, and psi_generic
+    # refuses each per-phi premise of that: x_phi must be equivariant
+    # (d2_on_E01) and d2(phi) a cocycle (connecting's guard).  The premises
+    # fixed per context are refused where they are built: alpha in
+    # extension_cocycle, the modules in GModule, the sequence in CoefficientSES.
     from soclecoh import obstruction
-    from soclecoh.cohomology import Cochain
 
-    build = obstruction.connecting
+    ctx = ctx_for("mixer32")
+    phis = [phi for phi in ctx.enumerate_phi(2) if not phi.is_zero()]
+    build_d2 = obstruction.d2_on_E01
 
-    def perturbed(ses, f):
-        psi = build(ses, f)
-        return psi.add(Cochain.make(psi.action, 3, {(1, 2, 3): (1,)}))
+    def perturbed_d2(*args):
+        d2c = build_d2(*args)
+        return d2c.add(Cochain.make(d2c.action, 2, {(1, 2): (1,) * d2c.action.module.rank}))
 
-    ctx = ctx_for("quaternion8")
-    phis = list(ctx.enumerate_phi(2))
-    monkeypatch.setattr(obstruction, "connecting", perturbed)
+    monkeypatch.setattr(obstruction, "d2_on_E01", perturbed_d2)
     for phi in phis:
         with pytest.raises(NotACocycle):
             ctx.psi_generic(phi)
+    monkeypatch.undo()
+
+    # phi matrices that only fail to commute with the action, built past
+    # PhiMap's validation: their x_phi is not equivariant either
+    refused = 0
+    for rows in product(product(range(2), repeat=3), repeat=2):
+        try:
+            ctx.phi_from_matrix(2, rows)
+            continue
+        except EquivarianceFailure as exc:
+            if "commute" not in str(exc):
+                continue
+        phi = object.__new__(PhiMap)
+        object.__setattr__(phi, "ctx", ctx)
+        object.__setattr__(phi, "m", 2)
+        object.__setattr__(phi, "matrix", rows)
+        with pytest.raises(EquivarianceFailure, match="not G-equivariant"):
+            ctx.psi_generic(phi)
+        refused += 1
+    assert refused
+
+
+R8 = RingConfig(2, 3)
+
+# Every catalog family, over each ring the tests build it with, and the
+# twisted class-2 fixtures: all phis at m = 2 and 3 where enumerate_phi runs.
+# unitriangular3(2, 3) enumerates 64 phis per level, but its guard pass alone
+# takes about 45 s per level, so it gets 3 seeded draws per level.  The
+# |G| = 32 and |G| = 64 draws are the phis of test_cli's pinned obstruction
+# runs: 5 and 2 draws at m = 2 from seed 1.
+GUARD_CASES = [
+    ("cyclic", R2, {"ell": 2, "k": 3}),
+    ("cyclic", R4, {"ell": 2, "k": 3}),
+    ("cyclic", R3, {"ell": 3, "k": 2}),
+    ("elementary_abelian", R2, {"ell": 2, "d": 3}),
+    ("abelian_product", R2, {"ell": 2, "exponents": (2, 1)}),
+    ("abelian_product", R4, {"ell": 2, "exponents": (2, 2)}),
+    ("abelian_product", R3, {"ell": 3, "exponents": (1, 1)}),
+    ("quaternion8", R2, None),
+    ("dihedral8", R2, None),
+    ("heisenberg", R2, {"ell": 2}),
+    ("heisenberg", R3, {"ell": 3}),
+    ("heisenberg", R5, {"ell": 5}),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+    ("wreath_z4_z2", R2, None),
+    ("free_class2", R2, {"d": 2, "ell": 2, "n": 1}),
+    ("free_class2", R3, {"d": 2, "ell": 3, "n": 1}),
+    ("mixer32", R2, None),
+] + [("twisted", RingConfig(ell, n), (ell, n, z)) for ell, n, z in TWISTED_CLASS2]
+SEEDED_GUARD_CASES = [
+    ("unitriangular3", R8, {"ell": 2, "n": 3}, (2, 3), 3, None),
+    ("abelian_product", R2, {"ell": 2, "exponents": (2, 2, 2, 1, 1)}, (2,), 5, 1),
+    ("abelian_product", R2, {"ell": 2, "exponents": (2, 2, 2, 1, 1, 1)}, (2,), 2, 1),
+]
+
+
+def blob_hash(c):
+    """The Psi digest as the CLI computed it before streaming: sha256 of the
+    whole compact, sorted JSON text of _cochain_dump."""
+    blob = json.dumps(_cochain_dump(c), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def psi_checks():
+    """(case, m, support size, is_cocycle, streamed hash == blob hash) for
+    every phi of GUARD_CASES and SEEDED_GUARD_CASES; each Psi is dropped once
+    checked, since together they take hundreds of MB."""
+    def contexts():
+        for name, ring, params in GUARD_CASES:
+            if name == "twisted":
+                group = group_from_json(twisted_class2_spec(*params))
+                yield (name, params), ObstructionContext(make_extension(group, ring)), (2, 3), None
+            else:
+                yield (name, params), ctx_for(name, ring, params), (2, 3), None
+        for name, ring, params, levels, count, seed in SEEDED_GUARD_CASES:
+            ctx = ObstructionContext(make_extension(catalog(name, params), ring))
+            yield (name, params), ctx, levels, (count, seed)
+
+    out = []
+    for case, ctx, levels, draws in contexts():
+        for m in levels:
+            if draws is None:
+                phis = ctx.enumerate_phi(m)
+            else:
+                count, seed = draws
+                phis = ctx.random_phi(m, random.Random(m if seed is None else seed), count)
+            for phi in phis:
+                psi = ctx.psi_generic(phi).psi_cocycle
+                out.append((case, m, len(psi.values), is_cocycle(psi), _cochain_hash(psi) == blob_hash(psi)))
+    return out
+
+
+def test_every_psi_passes_the_degree3_guard(psi_checks):
+    # psi_generic no longer runs is_cocycle on Psi; this runs it on every Psi
+    # the cases produce, so a route that broke the cocycle property would show
+    assert [(case, m) for case, m, _, cocycle, _ in psi_checks if not cocycle] == []
+    assert any(size for _, _, size, _, _ in psi_checks)
+
+
+def test_streamed_psi_hash_matches_the_json_blob(psi_checks):
+    # _cochain_hash feeds the compact sorted JSON of _cochain_dump to sha256
+    # piece by piece; the digest is that of the whole blob, as before
+    assert [(case, m) for case, m, _, _, same in psi_checks if not same] == []
+    sizes = [size for _, _, size, _, _ in psi_checks]
+    assert 0 in sizes and max(sizes) > 100_000
+    empty = Cochain.zero(ctx_for("quaternion8").r_action, 3)
+    assert _cochain_hash(empty) == blob_hash(empty)
 
 
 def test_psi_zero_map():
