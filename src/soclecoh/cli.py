@@ -27,7 +27,6 @@ from .errors import (
     InconsistentPresentation,
     NotAGroup,
     NotEllGroup,
-    NotFreeModule,
     NotNilpotent,
     QuotientNotFree,
     SizeBound,
@@ -253,15 +252,8 @@ def cmd_obstruction(args) -> int:
             "psi_hash": _cochain_hash(res.psi_cocycle),
             "zero_class": res.is_zero_class,
         }
-        agree = res.routes.get("agreement")
-        if agree is not None:
-            rec["routes"] = {
-                "generic_vs_closed_entrywise": agree["generic_vs_closed_entrywise"],
-            }
-            if "generic_vs_m2_cohomologous" in agree:
-                rec["routes"]["generic_vs_m2_cohomologous"] = agree[
-                    "generic_vs_m2_cohomologous"
-                ]
+        if res.agreement is not None:
+            rec["routes"] = res.agreement
         if args.dump_cochains:
             rec["psi"] = _cochain_dump(res.psi_cocycle)
             if res.is_zero_class:
@@ -417,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuotientNotFree, NotFreeModule, NotNilpotent) as exc:
+    except (QuotientNotFree, NotNilpotent) as exc:
         print(f"standing assumption failed: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except SizeBound as exc:

@@ -119,14 +119,6 @@ class Cochain:
                 out.pop(t, None)
         return Cochain(self.action, self.degree, out)
 
-    def neg(self) -> "Cochain":
-        orders = self.action.module.orders
-        return Cochain(
-            self.action,
-            self.degree,
-            {t: tuple((-a) % o for a, o in zip(v, orders)) for t, v in self.values.items()},
-        )
-
     def same_values(self, other: "Cochain") -> bool:
         return self.degree == other.degree and self.values == other.values
 

@@ -52,10 +52,6 @@ class UnknownCatalogEntry(SocleCohError):
     """Unrecognized catalog group name."""
 
 
-class NotFreeModule(SocleCohError):
-    """A group ring was requested over a group that is not free over Z/l^n."""
-
-
 class NotACocycle(SocleCohError):
     """A cochain presented as a cocycle has a nonzero differential."""
 

@@ -7,6 +7,10 @@ generator of the acting group.  Linear algebra on submodules happens in
 into (Z/l^n)^t via x_k |-> (l^n/q_k) x_k, where the Howell machinery of
 zmodlin applies verbatim.  Helpers convert both ways.
 
+The group ring Z/l^n[G] of the extension's free quotient G carries the
+augmentation filtration I^m, built as I^m = sum_i (sigma_i - 1) . I^(m-1)
+over the d basis elements sigma_i of G.
+
 Matrix conventions follow zmodlin: row vectors, action on the right, and a
 matrix entry A[k][j] lives modulo the order of target coordinate j.
 """
@@ -15,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotFreeModule, NotNilpotent
-from .fingroup import ExtensionData, FinGroup, abelian_structure
+from .errors import DimensionMismatch, NotNilpotent
+from .fingroup import ExtensionData, abelian_structure
 from .zmodlin import (
     HowellBasis,
     LinearSolver,
@@ -195,15 +199,6 @@ class GModule:
     def rank(self) -> int:
         return len(self.orders)
 
-    def size(self) -> int:
-        s = 1
-        for o in self.orders:
-            s *= o
-        return s
-
-    def act(self, v, gen_index: int):
-        return mat_apply(v, self.actions[gen_index], self.orders)
-
     def inverse_actions(self):
         q = self.ring.modulus
         return tuple(mat_pow(a, q - 1, self.orders) for a in self.actions)
@@ -363,45 +358,25 @@ def hom_g(m: GModule, n: GModule):
 
 
 class GroupRing:
-    """Z/l^n[G] for abelian G free over Z/l^n, with coordinates per element."""
+    """Z/l^n[G] for the free top quotient G of an extension, with one
+    coordinate per element of G.
 
-    def __init__(self, group: FinGroup, ring: RingConfig, sigma=None, coords=None):
-        if not group.is_abelian():
-            raise NotFreeModule("group ring requires an abelian group")
-        if sigma is None:
-            st = abelian_structure(group)
-            if any(o != ring.modulus for o in st.orders):
-                raise NotFreeModule(
-                    f"group has invariant factors {st.orders}, not free over Z/{ring.modulus}"
-                )
-            sigma, coords = st.basis, st.coords
-        else:
-            for s in sigma:
-                if group.elt_order(s) != ring.modulus:
-                    raise NotFreeModule(f"generator {s} does not have order {ring.modulus}")
-            for x in group.elements():
-                w = group.identity
-                for s, c in zip(sigma, coords[x]):
-                    w = group.mul(w, group.power(s, c))
-                if w != x:
-                    raise NotFreeModule(f"coordinates do not reproduce element {x}")
-        self.group = group
-        self.ring = ring
-        self.sigma = tuple(sigma)
-        self.coords = tuple(coords)
-        self.size = group.order
-        self._left = tuple(
-            tuple(group.mul(g, x) for x in group.elements()) for g in group.elements()
-        )
+    sigma and coords are the extension's basis of G and exponent vectors;
+    the extension has already checked that they make G free over Z/l^n.
+    I is spanned by the g - 1 (g != 1), and as an ideal it is generated by
+    the sigma_i - 1, so I^m = sum_i (sigma_i - 1) . I^(m-1) for m >= 2.
+    """
+
+    def __init__(self, ext: ExtensionData):
+        self.group = ext.quotient
+        self.ring = ext.ring
+        self.sigma = ext.sigma
+        self.coords = ext.coords
         self._ideals = []
 
-    @property
-    def d(self) -> int:
-        return len(self.sigma)
-
     def mult_by_elem(self, g: int, v):
-        out = [0] * self.size
-        perm = self._left[g]
+        out = [0] * self.group.order
+        perm = self.group.cayley[g]
         for x, c in enumerate(v):
             if c:
                 out[perm[x]] = c
@@ -409,35 +384,31 @@ class GroupRing:
 
     def augmentation_row(self, g: int):
         """The vector g - 1."""
-        v = [0] * self.size
+        v = [0] * self.group.order
         v[g] = 1
         v[self.group.identity] = (v[self.group.identity] - 1) % self.ring.modulus
         return tuple(v)
 
     def ideal_basis(self, m: int) -> HowellBasis:
-        """Canonical basis of I^m inside (Z/l^n)^|G|, computed iteratively."""
+        """Canonical basis of I^m inside (Z/l^n)^|G|, computed iteratively up
+        to the first zero power, which serves every higher m."""
         if m < 1:
             raise ValueError("ideal power needs m >= 1")
-        while len(self._ideals) < m:
-            if not self._ideals:
-                rows = [
-                    self.augmentation_row(g)
-                    for g in self.group.elements()
-                    if g != self.group.identity
-                ]
-                self._ideals.append(howell_form_rows(rows, self.size, self.ring))
+        G, q = self.group, self.ring.modulus
+        ideals = self._ideals
+        while len(ideals) < m:
+            if not ideals:
+                rows = [self.augmentation_row(g) for g in G.elements() if g != G.identity]
+            elif not ideals[-1].rows:
+                break
             else:
-                prev = self._ideals[-1]
-                q = self.ring.modulus
                 rows = []
-                for g in self.group.elements():
-                    if g == self.group.identity:
-                        continue
-                    for v in prev.rows:
-                        moved = self.mult_by_elem(g, v)
+                for s in self.sigma:
+                    for v in ideals[-1].rows:
+                        moved = self.mult_by_elem(s, v)
                         rows.append(tuple((a - b) % q for a, b in zip(moved, v)))
-                self._ideals.append(howell_form_rows(rows, self.size, self.ring))
-        return self._ideals[m - 1]
+            ideals.append(howell_form_rows(rows, G.order, self.ring))
+        return ideals[min(m, len(ideals)) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +422,16 @@ class QuotientModule(QuotientPresentation):
 
     project_vec maps ambient row vectors to module coordinates; section_vec
     picks representatives; orders are the module's.  For i_m the ambient is
-    the rho-coordinate space of I (basis g - 1 for g != 1).
+    the rho-coordinate space of I: its basis vector at index g - 1 is g - 1,
+    for g != 1.
     """
 
     module: GModule
+
+    def augmentation_coords(self, g: int):
+        """The module coordinates of g - 1, for g != 1, when the ambient is
+        the rho-coordinate space of I (the modules i_m builds)."""
+        return vec_reduce(self.project[g - 1], self.orders)
 
 
 def _rho_of_lambda(v):
@@ -470,27 +447,14 @@ def _lambda_of_rho(w, ring: RingConfig):
 def i_m(gr: GroupRing, m: int) -> QuotientModule:
     """I/I^m with the multiplication action of the sigma generators."""
     ring = gr.ring
-    amb = gr.size - 1
+    amb = gr.group.order - 1
     sub_rows = [_rho_of_lambda(r) for r in gr.ideal_basis(m).rows]
     qp = quotient_presentation(howell_form_rows(sub_rows, amb, ring))
     orders = qp.orders
-
-    def mult_sigma_rho(s, w):
-        # sigma . (g - 1) = (sigma g - 1) - (sigma - 1) on rho coordinates
-        q = ring.modulus
-        out = [0] * amb
-        for idx, c in enumerate(w):
-            if c:
-                g = idx + 1
-                sg = gr.group.mul(s, g)
-                if sg != gr.group.identity:
-                    out[sg - 1] = (out[sg - 1] + c) % q
-                out[s - 1] = (out[s - 1] - c) % q
-        return tuple(out)
-
-    lifts = [qp.section_vec(y) for y in mat_identity(orders)]
+    lifts = [_lambda_of_rho(qp.section_vec(y), ring) for y in mat_identity(orders)]
     actions = [
-        tuple(qp.project_vec(mult_sigma_rho(s, w)) for w in lifts) for s in gr.sigma
+        tuple(qp.project_vec(_rho_of_lambda(gr.mult_by_elem(s, v))) for v in lifts)
+        for s in gr.sigma
     ]
     module = make_module(ring, orders, actions)
     return QuotientModule(amb, orders, qp.project, qp.section, ring, module)
@@ -503,11 +467,7 @@ def lambda_m(gr: GroupRing, im: QuotientModule) -> GModule:
     orders = (ring.modulus,) + im.module.orders
     actions = []
     for si, s in enumerate(gr.sigma):
-        rows = []
-        rho_s = [0] * (gr.size - 1)
-        rho_s[s - 1] = 1
-        top = (1,) + im.project_vec(tuple(rho_s))
-        rows.append(top)
+        rows = [(1,) + im.augmentation_coords(s)]
         for r in im.module.actions[si]:
             rows.append((0,) + tuple(r))
         actions.append(tuple(rows))
@@ -631,7 +591,7 @@ class ExtensionModules:
     def __init__(self, ext: ExtensionData):
         self.ext = ext
         self.ring = ext.ring
-        self.gr = GroupRing(ext.quotient, ext.ring, sigma=ext.sigma, coords=ext.coords)
+        self.gr = GroupRing(ext)
         self.j = module_J(ext)
         self.socle = socle_series(self.j.module, self.gr)
         self.elem_mats = element_matrices(self.j.module, self.gr.coords)

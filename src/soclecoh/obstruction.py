@@ -117,17 +117,15 @@ class PhiMap:
                         "phi image escaped J_{m-1}", witness=("basis", a)
                     )
 
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.matrix)
-
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    """Psi of one phi: the degree-3 cocycle, its class bit, and route records."""
+    """Psi of one phi: the degree-3 cocycle, its class bit, and the route
+    agreement certificates (None when only the generic route ran)."""
 
     psi_cocycle: Cochain
     is_zero_class: bool
-    routes: dict
+    agreement: dict | None = None
 
 
 class ObstructionContext:
@@ -239,7 +237,6 @@ class ObstructionContext:
         return ObstructionResult(
             psi_cocycle=psi,
             is_zero_class=self.resolution.vanishes_on_chain_map(psi),
-            routes={"generic": psi},
         )
 
     def psi_closed_form(self, phi: PhiMap) -> Cochain:
@@ -253,10 +250,7 @@ class ObstructionContext:
         for a in G.elements():
             if a == G.identity:
                 continue
-            ainv = G.inv(a)
-            rho = [0] * (G.order - 1)
-            rho[ainv - 1] = 1
-            wa = im.project_vec(tuple(rho))
+            wa = im.augmentation_coords(G.inv(a))
             w[a] = mat_apply(wa, phi.matrix, jb.module.orders)
         values = {}
         for (b, c), avec in self.alpha.alpha.values.items():
@@ -278,9 +272,7 @@ class ObstructionContext:
         xs = self.dual_basis_cochains()
         total = Cochain.zero(self.r_action, 3)
         for i, sigma in enumerate(self.ext.sigma):
-            rho = [0] * (self.ext.quotient.order - 1)
-            rho[sigma - 1] = 1
-            gamma_i = mat_apply(im.project_vec(tuple(rho)), phi.matrix, jb.module.orders)
+            gamma_i = mat_apply(im.augmentation_coords(sigma), phi.matrix, jb.module.orders)
             xmat = tuple(
                 ((q // jb.hab.orders[k]) * gamma_i[k] % q,) for k in range(jb.hab.rank)
             )
@@ -288,28 +280,16 @@ class ObstructionContext:
             total = total.add(cup(xs[i], xi), sign=-1)
         return total
 
-    def obstruction_with_routes(self, phi: PhiMap, include_m2: bool | None = None) -> ObstructionResult:
-        """Route A, plus routes B (and C when m = 2) and their pairwise
-        agreement certificates."""
+    def obstruction_with_routes(self, phi: PhiMap, include_m2: bool) -> ObstructionResult:
+        """Route A, plus routes B (and C when include_m2, which needs m = 2)
+        and their pairwise agreement certificates."""
         base = self.psi_generic(phi)
-        routes = dict(base.routes)
-        agreement = {}
-        closed = self.psi_closed_form(phi)
-        routes["closed"] = closed
-        agreement["generic_vs_closed_entrywise"] = base.psi_cocycle.same_values(closed)
-        if include_m2 is None:
-            include_m2 = phi.m == 2
+        psi = base.psi_cocycle
+        agreement = {"generic_vs_closed_entrywise": psi.same_values(self.psi_closed_form(phi))}
         if include_m2:
-            m2 = self.psi_m2_formula(phi)
-            routes["m2"] = m2
-            diff = base.psi_cocycle.add(m2.neg())
+            diff = psi.add(self.psi_m2_formula(phi), sign=-1)
             agreement["generic_vs_m2_cohomologous"] = self.resolution.is_coboundary(diff)
-        routes["agreement"] = agreement
-        return ObstructionResult(
-            psi_cocycle=base.psi_cocycle,
-            is_zero_class=base.is_zero_class,
-            routes=routes,
-        )
+        return ObstructionResult(psi, base.is_zero_class, agreement)
 
     # -- membership and the theorem --------------------------------------------
 

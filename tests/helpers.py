@@ -7,8 +7,9 @@ image_membership_via_solve solves for a gamma where the library tests one
 containment.  The paper's side constructions are oracles too: J_m through
 invariant homs (jm_via_invariant_homs), the quotient group G_phi with its
 differential (build_g_phi, d2_via_g_phi), inflation and restriction of
-cochains, quotient modules, and the regular module with its product.  They
-live here because only tests call them.
+cochains, quotient modules, the regular module with its product, and the
+augmentation powers from every g - 1 (ideal_basis_all_elements).  They live
+here because only tests call them.
 """
 
 from dataclasses import dataclass
@@ -298,7 +299,7 @@ def image_membership_via_solve(ctx, phi):
     jorders = em.j.module.orders
     t = len(jorders)
     if t == 0:
-        return () if phi.is_zero() else None
+        return () if phi_is_zero(phi) else None
     q = ring.modulus
     km = em.socle.basis(m)
     blocks = [tuple(scale_vec(row, jorders, ring) for row in nmat) for nmat in em.lift_actions(m)]
@@ -354,17 +355,40 @@ def restriction(sub: Subgroup, f: Cochain) -> Cochain:
 # -- modules: the regular module, quotients, J_m through invariant homs -------------
 
 
+def phi_is_zero(phi: PhiMap) -> bool:
+    """Whether phi is the zero map."""
+    return not any(any(r) for r in phi.matrix)
+
+
 def group_ring_mult(gr: GroupRing, v, w):
     """The product of two elements of Z/l^n[G]."""
     q = gr.ring.modulus
-    out = [0] * gr.size
+    out = [0] * gr.group.order
     for x, a in enumerate(v):
         if a:
-            perm = gr._left[x]
+            perm = gr.group.cayley[x]
             for y, b in enumerate(w):
                 if b:
                     out[perm[y]] = (out[perm[y]] + a * b) % q
     return tuple(out)
+
+
+def ideal_basis_all_elements(gr: GroupRing):
+    """The canonical bases of I^1, I^2, ... up to the first zero power, each
+    I^m (m >= 2) from all |G| - 1 products (g - 1) . I^(m-1), g != 1, as the
+    group ring built them before it used only the d products
+    (sigma_i - 1) . I^(m-1); the test oracle for GroupRing.ideal_basis."""
+    G, q = gr.group, gr.ring.modulus
+    nonid = [g for g in G.elements() if g != G.identity]
+    powers = [howell_form_rows([gr.augmentation_row(g) for g in nonid], G.order, gr.ring)]
+    while powers[-1].rows:
+        rows = []
+        for g in nonid:
+            for v in powers[-1].rows:
+                moved = gr.mult_by_elem(g, v)
+                rows.append(tuple((a - b) % q for a, b in zip(moved, v)))
+        powers.append(howell_form_rows(rows, G.order, gr.ring))
+    return powers
 
 
 def group_ring_eps(gr: GroupRing, v) -> int:
@@ -381,12 +405,13 @@ def lambda_m_project_vec(gr: GroupRing, im: QuotientModule, v):
 def regular_module(gr: GroupRing) -> GModule:
     """Lambda as a module over itself: free of rank |G|, permutation actions."""
     q = gr.ring.modulus
-    orders = (q,) * gr.size
+    size = gr.group.order
+    orders = (q,) * size
     actions = []
     for s in gr.sigma:
-        perm = gr._left[s]
+        perm = gr.group.cayley[s]
         actions.append(
-            tuple(tuple(1 if perm[x] == ypos else 0 for ypos in range(gr.size)) for x in range(gr.size))
+            tuple(tuple(1 if perm[x] == ypos else 0 for ypos in range(size)) for x in range(size))
         )
     return GModule(gr.ring, orders, tuple(actions))
 
@@ -528,7 +553,7 @@ def build_g_phi(ctx: ObstructionContext, phi: PhiMap) -> GPhiData:
     for i in range(ext.d):
         rows = []
         for jvec in im_rows:
-            moved = jmod.act(jvec, i)
+            moved = mat_apply(jvec, jmod.actions[i], jmod.orders)
             cs = coords_in_basis(image, scale_vec(moved, jmod.orders, ctx.ring))
             if cs is None:
                 raise SocleCohError("phi image is not action-stable")
@@ -590,8 +615,8 @@ def d2_via_g_phi(ctx: ObstructionContext, phi: PhiMap):
     are cohomologous; both are 2-cocycles with I_m^vee values.
     """
     data = build_g_phi(ctx, phi)
-    d2q = data.beta_phi.neg()
+    d2q = Cochain.zero(data.beta_phi.action, 2).add(data.beta_phi, sign=-1)
     d2a = ctx.d2_of_phi(phi)
-    diff = d2q.add(d2a.neg())
+    diff = d2q.add(d2a, sign=-1)
     witness = CochainComplex(ctx.im_dual_action(phi.m)).coboundary_witness(diff)
     return d2q, witness, data

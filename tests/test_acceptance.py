@@ -11,7 +11,13 @@ import time
 from itertools import product
 from math import comb
 
-from helpers import cohomology_rank, d2_via_g_phi, jm_via_invariant_homs, quotient_module
+from helpers import (
+    cohomology_rank,
+    d2_via_g_phi,
+    jm_via_invariant_homs,
+    phi_is_zero,
+    quotient_module,
+)
 from soclecoh.cli import main as cli_main
 from soclecoh.cohomology import CoeffAction, Cochain, differential
 from soclecoh.fingroup import catalog, make_extension
@@ -232,15 +238,14 @@ def test_acceptance_05_route_agreement():
     for name in ("quaternion8", "dihedral8", "wreath_z4_z2"):
         ctx = ctx_for(name, R2)
         for phi in ctx.enumerate_phi(2):
-            res = ctx.obstruction_with_routes(phi)
-            agree = res.routes["agreement"]
+            agree = ctx.obstruction_with_routes(phi, include_m2=True).agreement
             assert agree["generic_vs_closed_entrywise"], (name, phi.matrix)
             assert agree["generic_vs_m2_cohomologous"], (name, phi.matrix)
     for name in ("quaternion8", "wreath_z4_z2"):
         ctx = ctx_for(name, R2)
         for phi in ctx.enumerate_phi(3):
-            res = ctx.obstruction_with_routes(phi)
-            assert res.routes["agreement"]["generic_vs_closed_entrywise"], (name, phi.matrix)
+            agree = ctx.obstruction_with_routes(phi, include_m2=False).agreement
+            assert agree["generic_vs_closed_entrywise"], (name, phi.matrix)
     verdict(5, "routes agree (A = B entrywise; C up to found coboundary) at m = 2 and m = 3")
 
 
@@ -299,7 +304,7 @@ def test_acceptance_07_equivalence_under_hypothesis():
     assert rep["direction2"]["checked"] == 4
     assert rep["direction2"]["zero_class_count"] == 1
     assert rep["direction2"]["image_size"] == 1  # image of J_2 is {0}
-    zero_phi = [phi for phi in ctx.enumerate_phi(2) if phi.is_zero()]
+    zero_phi = [phi for phi in ctx.enumerate_phi(2) if phi_is_zero(phi)]
     assert len(zero_phi) == 1 and ctx.psi_generic(zero_phi[0]).is_zero_class
     verdict(7, "Q8 at m = 2: hypothesis true, dim H^2 = 2, exactly the zero map unobstructed")
 

@@ -256,6 +256,23 @@ def test_exit_5_on_misshapen_phi(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_levels_past_the_nilpotency_index_reuse_the_zero_power():
+    # I^3 = 0 in F_2[G] for quaternion8's G = (Z/2)^2, so a level far past it
+    # is level 3 again: the same records, in the time of m = 3
+    q8 = ("--catalog", "quaternion8", "--ell", "2", "--n", "1")
+    far = "1000000000"
+    records = {}
+    for m in ("3", far):
+        proc, wall = run_process("obstruction", *q8, "--m", m, "--random", "1", "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert wall < 5
+        records[m] = json.loads(proc.stdout)["records"]
+    assert records[far] == records["3"]
+    proc, wall = run_process("verify", *q8, "--m", far, "--exhaustive")
+    assert proc.returncode == 0, proc.stderr
+    assert wall < 5
+
+
 # Catalog parameters, each with its exit code and either the report's sha256
 # or the reason on stderr.  The codes are those of the per-pair builders the
 # class-2 presentations replaced, except two cases those got wrong: l = 1

@@ -751,7 +751,7 @@ def test_connecting_section_independence():
         assert not any(any(vec[1:]) for vec in dl.values.values())
         d2c = Cochain.make(ses.sub, 3, {t: vec[:1] for t, vec in dl.values.items()})
         d1 = connecting(ses, f)
-        assert cc.coboundary_witness(d1.add(d2c.neg())) is not None
+        assert cc.coboundary_witness(d1.add(d2c, sign=-1)) is not None
 
 
 def test_connecting_rejects_non_cocycle():
@@ -884,7 +884,7 @@ def test_d2_q8_matches_classifying_class():
         for b, mono in zip(bits, monomials):
             if b:
                 cand = cand.add(mono)
-        if cc.coboundary_witness(d2chi.add(cand.neg())) is not None:
+        if cc.coboundary_witness(d2chi.add(cand, sign=-1)) is not None:
             matches.append(bits)
     assert matches == [(1, 1, 1)]  # x^2 + xy + y^2, uniquely
 
@@ -1118,7 +1118,7 @@ def test_extension_cocycle_transversal_independence():
         )
         a1 = extension_cocycle(ext)
         a2 = extension_cocycle(perturbed, a1.bundle)
-        diff = a1.alpha.add(a2.alpha.neg())
+        diff = a1.alpha.add(a2.alpha, sign=-1)
         cc = CochainComplex(a1.alpha.action)
         assert cc.coboundary_witness(diff) is not None, name
 
@@ -1157,16 +1157,11 @@ def test_i2_free_on_rho_basis_for_free_quotients():
         ("wreath_z4_z2", R2, None),
     ):
         ext = make_extension(catalog(name, params), ring)
-        gr = GroupRing(ext.quotient, ring, ext.sigma, ext.coords)
-        im = i_m(gr, 2)
+        im = i_m(GroupRing(ext), 2)
         assert im.module.orders == (ring.modulus,) * ext.d
         ident = mat_identity(im.module.orders)
         assert all(a == ident for a in im.module.actions)
-        rhos = []
-        for s in ext.sigma:
-            rho = [0] * (gr.size - 1)
-            rho[s - 1] = 1
-            rhos.append(im.project_vec(tuple(rho)))
+        rhos = [im.augmentation_coords(s) for s in ext.sigma]
         span = scaled_span(rhos, im.module.orders, ring)
         from soclecoh.gmodule import full_scaled_basis
 
@@ -1176,7 +1171,7 @@ def test_i2_free_on_rho_basis_for_free_quotients():
 def test_connecting_level2_equals_dual_basis_cup_sum():
     # delta(xi) is cohomologous to sum_i -x_i cup xi_i, where xi_i evaluates
     # the I_2^vee values of xi at the class of sigma_i - 1
-    from soclecoh.gmodule import GroupRing, dual_pair, i_m
+    from soclecoh.gmodule import dual_pair
 
     for name in ("quaternion8", "wreath_z4_z2"):
         ext = make_extension(catalog(name), R2)
@@ -1186,11 +1181,7 @@ def test_connecting_level2_equals_dual_basis_cup_sum():
         imod = em.i_m(2)
         cc_quot = CochainComplex(ses.quot)
         xs = ctx.dual_basis_cochains()
-        rhos = []
-        for s in ext.sigma:
-            rho = [0] * (ext.quotient.order - 1)
-            rho[s - 1] = 1
-            rhos.append(imod.project_vec(tuple(rho)))
+        rhos = [imod.augmentation_coords(s) for s in ext.sigma]
         checked = 0
         for row in cocycle_basis(cc_quot, 2).rows:
             coeffs = [
@@ -1208,7 +1199,7 @@ def test_connecting_level2_equals_dual_basis_cup_sum():
                         values[tup] = (val,)
                 xi_i = Cochain.make(ctx.r_action, 2, values)
                 total = total.add(cup(xs[i], xi_i), sign=-1)
-            diff = delta.add(total.neg())
+            diff = delta.add(total, sign=-1)
             assert ctx.r_complex.coboundary_witness(diff) is not None, name
             checked += 1
         assert checked > 0

@@ -372,9 +372,13 @@ def test_make_extension_q8():
 
 
 def test_make_extension_not_free():
-    g = catalog("abelian_product", {"ell": 2, "exponents": [1, 2]})
-    with pytest.raises(QuotientNotFree):
-        make_extension(g, RingConfig(2, 2))
+    # Z/2 x Z/4 and Z/2 have top quotients that are not free over Z/4
+    for name, params in (
+        ("abelian_product", {"ell": 2, "exponents": [1, 2]}),
+        ("cyclic", {"ell": 2, "k": 1}),
+    ):
+        with pytest.raises(QuotientNotFree):
+            make_extension(catalog(name, params), RingConfig(2, 2))
 
 
 def test_make_extension_abelian_full():

@@ -5,15 +5,19 @@ from itertools import product
 import pytest
 
 from helpers import (
+    TWISTED_CLASS2,
     group_ring_eps,
     group_ring_mult,
+    ideal_basis_all_elements,
     jm_via_invariant_homs,
     lambda_m_project_vec,
+    mixer32,
     quotient_module,
     regular_module,
+    twisted_class2_spec,
 )
-from soclecoh.errors import NotFreeModule, NotNilpotent
-from soclecoh.fingroup import catalog, make_extension
+from soclecoh.errors import NotNilpotent, QuotientNotFree
+from soclecoh.fingroup import catalog, group_from_json, make_extension
 from soclecoh.gmodule import (
     ExtensionModules,
     GModule,
@@ -52,10 +56,13 @@ def swap_module(ring):
 # -- group ring ----------------------------------------------------------------
 
 
+def ring_of(name, ring, params=None):
+    return GroupRing(ext_of(name, ring, params))
+
+
 def test_group_ring_z2():
-    g = catalog("cyclic", {"ell": 2, "k": 1})
-    gr = GroupRing(g, R2)
-    assert gr.size == 2
+    gr = ring_of("cyclic", R2, {"ell": 2, "k": 1})
+    assert gr.group.order == 2
     assert group_ring_eps(gr, (1, 1)) == 0
     assert group_ring_eps(gr, (1, 0)) == 1
     # (1 + sigma)^2 = 1 + 2 sigma + sigma^2 = 0 over F2[Z/2]
@@ -64,29 +71,27 @@ def test_group_ring_z2():
 
 
 def test_group_ring_klein_rank4():
-    g = catalog("elementary_abelian", {"ell": 2, "d": 2})
-    gr = GroupRing(g, R2)
-    assert gr.size == 4
-    assert gr.d == 2
+    gr = ring_of("elementary_abelian", R2, {"ell": 2, "d": 2})
+    assert gr.group.order == 4
+    assert len(gr.sigma) == 2
 
 
 def test_group_ring_rejects_nonfree():
-    g = catalog("cyclic", {"ell": 2, "k": 1})
-    with pytest.raises(NotFreeModule):
-        GroupRing(g, R4)  # Z/2 is not free over Z/4
+    with pytest.raises(QuotientNotFree):
+        ring_of("cyclic", R4, {"ell": 2, "k": 1})  # Z/2 is not free over Z/4
 
 
 # -- ideal powers ----------------------------------------------------------------
 
 
 def test_ideal_square_zero_f2_z2():
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = ring_of("cyclic", R2, {"ell": 2, "k": 1})
     assert len(gr.ideal_basis(1)) == 1
     assert len(gr.ideal_basis(2)) == 0  # (sigma - 1)^2 = 0
 
 
 def test_ideal_chain_z4_z4():
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
+    gr = ring_of("cyclic", R4, {"ell": 2, "k": 2})
     i5 = gr.ideal_basis(5)
     # I^5 = {0, 2N} with N = 1 + s + s^2 + s^3
     assert i5.span_size() == 2
@@ -96,7 +101,7 @@ def test_ideal_chain_z4_z4():
     for m in range(1, 6):
         prev, cur = gr.ideal_basis(m), gr.ideal_basis(m + 1)
         prods = [group_ring_mult(gr, a, b) for a in gr.ideal_basis(1).rows for b in prev.rows]
-        assert howell_form_rows(prods, gr.size, R4) == cur
+        assert howell_form_rows(prods, gr.group.order, R4) == cur
         for r in cur.rows:
             assert contains(prev, r)  # descending chain
 
@@ -106,15 +111,64 @@ def test_ideal_first_power_rank():
         ("quaternion8", R2, None),
         ("heisenberg", R3, {"ell": 3}),
     ):
-        ext = ext_of(name, ring, params)
-        gr = GroupRing(ext.quotient, ring, ext.sigma, ext.coords)
-        assert len(gr.ideal_basis(1)) == gr.size - 1
+        gr = ring_of(name, ring, params)
+        assert len(gr.ideal_basis(1)) == gr.group.order - 1
+
+
+R5 = RingConfig(5, 1)
+R8 = RingConfig(2, 3)
+
+# Every catalog family over each ring the tests build it with, mixer32, and
+# the twisted class-2 groups, among them the q = 9 one of order 243.
+IDEAL_CASES = [
+    ("cyclic", R2, {"ell": 2, "k": 3}),
+    ("cyclic", R4, {"ell": 2, "k": 3}),
+    ("cyclic", R3, {"ell": 3, "k": 2}),
+    ("elementary_abelian", R2, {"ell": 2, "d": 3}),
+    ("abelian_product", R2, {"ell": 2, "exponents": (2, 1)}),
+    ("abelian_product", R4, {"ell": 2, "exponents": (2, 2)}),
+    ("abelian_product", R3, {"ell": 3, "exponents": (1, 1)}),
+    ("quaternion8", R2, None),
+    ("dihedral8", R2, None),
+    ("heisenberg", R2, {"ell": 2}),
+    ("heisenberg", R3, {"ell": 3}),
+    ("heisenberg", R5, {"ell": 5}),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+    ("unitriangular3", R8, {"ell": 2, "n": 3}),
+    ("wreath_z4_z2", R2, None),
+    ("free_class2", R2, {"d": 2, "ell": 2, "n": 1}),
+    ("free_class2", R3, {"d": 2, "ell": 3, "n": 1}),
+    ("mixer32", R2, None),
+] + [("twisted", RingConfig(ell, n), (ell, n, z)) for ell, n, z in TWISTED_CLASS2 + ((3, 2, 3),)]
+
+
+def ideal_case_id(case):
+    name, ring, params = case
+    if isinstance(params, dict):
+        params = "-".join(f"{k}={v}" for k, v in params.items())
+    return f"{name}-q{ring.modulus}-{params}"
+
+
+@pytest.mark.parametrize("name,ring,params", IDEAL_CASES, ids=map(ideal_case_id, IDEAL_CASES))
+def test_ideal_basis_matches_all_elements_oracle(name, ring, params):
+    # I^m from the d products (sigma_i - 1) . I^(m-1) against all |G| - 1
+    # products (g - 1) . I^(m-1), up to the first zero power and past it
+    if name == "mixer32":
+        group = mixer32()
+    elif name == "twisted":
+        group = group_from_json(twisted_class2_spec(*params))
+    else:
+        group = catalog(name, params)
+    gr = GroupRing(make_extension(group, ring))
+    powers = ideal_basis_all_elements(gr)
+    assert [gr.ideal_basis(m) for m in range(1, len(powers) + 1)] == powers
+    assert gr.ideal_basis(10**9) == powers[-1]
 
 
 def test_remark_product_identity():
     # (st - 1) = (s-1)(t-1) + (s-1) + (t-1) in any group ring
     ext = ext_of("wreath_z4_z2", R2)
-    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext)
     G = ext.quotient
     for s in G.elements():
         for t in G.elements():
@@ -131,7 +185,7 @@ def test_remark_product_identity():
 
 def test_lambda_1_is_trivial_rank_one():
     ext = ext_of("quaternion8", R2)
-    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext)
     lam = lambda_m(gr, i_m(gr, 1))
     assert lam.orders == (2,)
     assert all(a == ((1,),) for a in lam.actions)
@@ -139,7 +193,7 @@ def test_lambda_1_is_trivial_rank_one():
 
 def test_i2_trivial_rank2_f2():
     ext = ext_of("quaternion8", R2)
-    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext)
     im = i_m(gr, 2)
     assert sorted(im.module.orders) == [2, 2]
     ident = tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2))
@@ -147,7 +201,7 @@ def test_i2_trivial_rank2_f2():
 
 
 def test_i2_z4_z4_free_rank_one():
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
+    gr = ring_of("cyclic", R4, {"ell": 2, "k": 2})
     im = i_m(gr, 2)
     assert im.module.orders == (4,)
 
@@ -155,24 +209,25 @@ def test_i2_z4_z4_free_rank_one():
 def test_lambda_m_splits_off_i_m():
     # eps: Lambda_m -> R is the first coordinate; I_m sits in the rest.
     ext = ext_of("wreath_z4_z2", R2)
-    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext)
     for m in (1, 2, 3):
         im = i_m(gr, m)
         lam = lambda_m(gr, im)
         assert lam.orders == (2,) + im.module.orders
-        one = lambda_m_project_vec(gr, im, tuple(1 if g == 0 else 0 for g in range(gr.size)))
+        size = gr.group.order
+        one = lambda_m_project_vec(gr, im, tuple(1 if g == 0 else 0 for g in range(size)))
         assert one == (1,) + (0,) * im.module.rank
         # projection respects multiplication by sigma on representatives
         for si, s in enumerate(gr.sigma):
-            for g in range(gr.size):
-                v = tuple(1 if x == g else 0 for x in range(gr.size))
+            for g in range(size):
+                v = tuple(1 if x == g else 0 for x in range(size))
                 lhs = lambda_m_project_vec(gr, im, gr.mult_by_elem(s, v))
                 rhs = mat_apply(lambda_m_project_vec(gr, im, v), lam.actions[si], lam.orders)
                 assert lhs == rhs
 
 
 def test_i_m_projection_kernel_is_ideal_power():
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 2}), R4)
+    gr = ring_of("cyclic", R4, {"ell": 2, "k": 2})
     for m in (1, 2, 3):
         im = i_m(gr, m)
         for row in gr.ideal_basis(m).rows:
@@ -199,7 +254,7 @@ def test_double_dual_identity_catalog():
     ]
     ext = ext_of("wreath_z4_z2", R2)
     mods.append(module_J(ext).module)
-    gr = GroupRing(ext.quotient, R2, ext.sigma, ext.coords)
+    gr = GroupRing(ext)
     mods.append(i_m(gr, 2).module)
     mods.append(regular_module(gr))
     for m in mods:
@@ -214,7 +269,12 @@ def test_dual_pairing_is_equivariant():
     for i in range(len(jd.actions)):
         for u in product(*(range(o) for o in jd.orders)):
             for x in product(*(range(o) for o in hm.orders)):
-                lhs = dual_pair(jd.act(u, i), hm.act(x, i), hm.orders, R2)
+                lhs = dual_pair(
+                    mat_apply(u, jd.actions[i], jd.orders),
+                    mat_apply(x, hm.actions[i], hm.orders),
+                    hm.orders,
+                    R2,
+                )
                 rhs = dual_pair(u, x, hm.orders, R2)
                 assert lhs == rhs
 
@@ -234,7 +294,7 @@ def test_invariants_swap_diagonal():
 
 
 def test_invariants_regular_module():
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = ring_of("cyclic", R2, {"ell": 2, "k": 1})
     reg = regular_module(gr)
     inv = invariants(reg)
     assert inv.rows == ((1, 1),)  # the norm element 1 + sigma
@@ -276,8 +336,8 @@ def test_hom_g_equivariance_brute():
         f = hm.coords_to_matrix(c)
         for i in range(len(src.actions)):
             for x in product(*(range(o) for o in src.orders)):
-                lhs = mat_apply(src.act(x, i), f, tgt.orders)
-                rhs = tgt.act(mat_apply(x, f, tgt.orders), i)
+                lhs = mat_apply(mat_apply(x, src.actions[i], src.orders), f, tgt.orders)
+                rhs = mat_apply(mat_apply(x, f, tgt.orders), tgt.actions[i], tgt.orders)
                 assert lhs == rhs
 
 
@@ -332,7 +392,7 @@ def test_socle_trivial_module_stabilizes_at_1():
 
 
 def test_socle_regular_module_z2():
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = ring_of("cyclic", R2, {"ell": 2, "k": 1})
     reg = regular_module(gr)
     chain = socle_series(reg, gr)
     assert chain.stabilization == 2
@@ -342,7 +402,7 @@ def test_socle_regular_module_z2():
 
 def test_socle_series_stall_raises_not_nilpotent(monkeypatch):
     # an augmentation ideal that never shrinks leaves J_m = J_1 != J for good
-    gr = GroupRing(catalog("cyclic", {"ell": 2, "k": 1}), R2)
+    gr = ring_of("cyclic", R2, {"ell": 2, "k": 1})
     i1 = gr.ideal_basis(1)
     monkeypatch.setattr(gr, "ideal_basis", lambda m: i1)
     with pytest.raises(NotNilpotent):

@@ -7,6 +7,10 @@ tests call belongs in tests/helpers.py.  A function or class counts as
 reached when its name appears as a word in any other line of src/; a method
 only when it appears as an attribute, `.name`, so that a method called
 `value` is not reached by the ordinary word "value".
+
+An attribute cannot tell apart two classes that define the same method name,
+so every such name must be listed in SHARED_METHOD_NAMES, with the program
+call that reaches each definition.
 """
 
 import ast
@@ -16,6 +20,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "soclecoh").glob("*.py"))
+
+
+# Method names that more than one src/ class defines, mapped to the classes.
+# The calls reaching each definition:
+#   basis: CyclicTensorResolution.__init__ calls self.basis(k) to build the
+#     chain map; ObstructionContext calls em.socle.basis(m) (SocleChain).
+SHARED_METHOD_NAMES = {
+    "basis": {"cohomology.CyclicTensorResolution", "gmodule.SocleChain"},
+}
 
 
 def traced_targets():
@@ -57,3 +70,19 @@ def unreached_names(sources, targets):
 
 def test_every_library_name_has_a_program_caller():
     assert unreached_names(SOURCES, traced_targets()) == []
+
+
+def shared_method_names(sources):
+    """{method name: classes} for each non-dunder method name that more than
+    one class in sources defines."""
+    owners = {}
+    for path in sources:
+        for qual, _ in definitions(path):
+            if "." in qual:
+                cls, name = qual.split(".")
+                owners.setdefault(name, set()).add(f"{path.stem}.{cls}")
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_every_shared_method_name_is_listed_with_its_callers():
+    assert shared_method_names(SOURCES) == SHARED_METHOD_NAMES
