@@ -423,10 +423,12 @@ class QuotientModule(QuotientPresentation):
     project_vec maps ambient row vectors to module coordinates; section_vec
     picks representatives; orders are the module's.  For i_m the ambient is
     the rho-coordinate space of I: its basis vector at index g - 1 is g - 1,
-    for g != 1.
+    for g != 1, and lambda_lifts[a] is the representative of basis vector a
+    as a coefficient vector over G.
     """
 
     module: GModule
+    lambda_lifts: tuple
 
     def augmentation_coords(self, g: int):
         """The module coordinates of g - 1, for g != 1, when the ambient is
@@ -451,13 +453,13 @@ def i_m(gr: GroupRing, m: int) -> QuotientModule:
     sub_rows = [_rho_of_lambda(r) for r in gr.ideal_basis(m).rows]
     qp = quotient_presentation(howell_form_rows(sub_rows, amb, ring))
     orders = qp.orders
-    lifts = [_lambda_of_rho(qp.section_vec(y), ring) for y in mat_identity(orders)]
+    lifts = tuple(_lambda_of_rho(qp.section_vec(y), ring) for y in mat_identity(orders))
     actions = [
         tuple(qp.project_vec(_rho_of_lambda(gr.mult_by_elem(s, v))) for v in lifts)
         for s in gr.sigma
     ]
     module = make_module(ring, orders, actions)
-    return QuotientModule(amb, orders, qp.project, qp.section, ring, module)
+    return QuotientModule(amb, orders, qp.project, qp.section, ring, module, lifts)
 
 
 def lambda_m(gr: GroupRing, im: QuotientModule) -> GModule:
@@ -559,10 +561,10 @@ class SocleChain:
         return contains(self.basis(m), scale_vec(vec, self.module.orders, self.module.ring))
 
 
-def socle_series(jmod: GModule, gr: GroupRing) -> SocleChain:
-    """J_m = {x : I^m x = 0}, computed from the canonical I^m bases."""
+def socle_series(jmod: GModule, gr: GroupRing, elem_mats) -> SocleChain:
+    """J_m = {x : I^m x = 0}, computed from the canonical I^m bases;
+    elem_mats[g] is the action matrix of g on jmod."""
     ring = gr.ring
-    elem_mats = element_matrices(jmod, gr.coords)
     full = full_scaled_basis(jmod.orders, ring)
     steps = []
     m = 1
@@ -593,8 +595,8 @@ class ExtensionModules:
         self.ring = ext.ring
         self.gr = GroupRing(ext)
         self.j = module_J(ext)
-        self.socle = socle_series(self.j.module, self.gr)
         self.elem_mats = element_matrices(self.j.module, self.gr.coords)
+        self.socle = socle_series(self.j.module, self.gr, self.elem_mats)
         self._im = {}
         self._lam = {}
         self._lifts = {}
@@ -612,12 +614,9 @@ class ExtensionModules:
     def lift_actions(self, m: int):
         """Action matrices on J of the Lambda lifts of the I_m basis vectors."""
         if m not in self._lifts:
-            im = self.i_m(m)
             self._lifts[m] = tuple(
-                lambda_action_matrix(
-                    self.j.module, self.elem_mats, _lambda_of_rho(im.section_vec(y), self.ring)
-                )
-                for y in mat_identity(im.module.orders)
+                lambda_action_matrix(self.j.module, self.elem_mats, v)
+                for v in self.i_m(m).lambda_lifts
             )
         return self._lifts[m]
 

@@ -5,7 +5,8 @@ J_{m-1}) has an obstruction class Psi(phi) in H^3(G, Z/l^n): the composite
 of the quotient-extension differential on invariant degree-1 classes with
 the connecting map of 0 -> R -> (Lambda/I^m)^vee -> (I/I^m)^vee -> 0.
 
-Three computation routes are kept deliberately independent and cross-checked:
+Three computation routes are kept deliberately independent and cross-checked,
+once per level on the generators of Hom_G(I_m, J) (route_certificate):
 
 * generic: build the degree-2 cochain -x_phi(alpha) and apply the
   connecting map, a contraction with column 0 of the middle module's matrices;
@@ -145,6 +146,7 @@ class ObstructionContext:
         self._ses = {}
         self._hom = {}
         self._image = {}
+        self._certificate = {}
 
     # -- cached module-side data -----------------------------------------
 
@@ -280,16 +282,47 @@ class ObstructionContext:
             total = total.add(cup(xs[i], xi), sign=-1)
         return total
 
+    def route_certificate(self, m: int, include_m2: bool) -> dict:
+        """Whether route B (and route C when include_m2, which needs m = 2)
+        agrees with route A on every phi of Hom_G(I_m, J), decided once per
+        level: B entrywise, C up to a coboundary.
+
+        Each route is Z/q-linear in phi, so Psi_A - Psi_B and Psi_A - Psi_C
+        are too, and the coboundaries form a subgroup.  Both agreements
+        therefore hold on all of Hom_G(I_m, J) exactly when they hold on a
+        generating set, and the descaled Howell rows of hom_phi_basis(m)
+        generate it as an abelian group.  Every PhiMap lies in it, including
+        one read from a file, since its construction checks that the matrix
+        is a well-defined equivariant hom.
+        """
+        key = (m, include_m2)
+        if key not in self._certificate:
+            hm, basis = self.hom_phi_basis(m)
+            rows = [
+                self.phi_from_matrix(
+                    m, hm.coords_to_matrix(descale_vec(r, hm.module.orders, self.ring))
+                )
+                for r in basis.rows
+            ]
+            psis = [self.psi_generic(phi).psi_cocycle for phi in rows]
+            agreement = {
+                "generic_vs_closed_entrywise": all(
+                    psi.same_values(self.psi_closed_form(phi)) for phi, psi in zip(rows, psis)
+                )
+            }
+            if include_m2:
+                agreement["generic_vs_m2_cohomologous"] = all(
+                    self.resolution.is_coboundary(psi.add(self.psi_m2_formula(phi), sign=-1))
+                    for phi, psi in zip(rows, psis)
+                )
+            self._certificate[key] = agreement
+        return self._certificate[key]
+
     def obstruction_with_routes(self, phi: PhiMap, include_m2: bool) -> ObstructionResult:
-        """Route A, plus routes B (and C when include_m2, which needs m = 2)
-        and their pairwise agreement certificates."""
+        """Route A for phi, with the agreement certificates of its level."""
         base = self.psi_generic(phi)
-        psi = base.psi_cocycle
-        agreement = {"generic_vs_closed_entrywise": psi.same_values(self.psi_closed_form(phi))}
-        if include_m2:
-            diff = psi.add(self.psi_m2_formula(phi), sign=-1)
-            agreement["generic_vs_m2_cohomologous"] = self.resolution.is_coboundary(diff)
-        return ObstructionResult(psi, base.is_zero_class, agreement)
+        agreement = dict(self.route_certificate(phi.m, include_m2))
+        return ObstructionResult(base.psi_cocycle, base.is_zero_class, agreement)
 
     # -- membership and the theorem --------------------------------------------
 

@@ -4,10 +4,12 @@ The bar-complex oracles (cocycle_basis, coboundary_basis, cohomology_rank,
 bar_inflation_h2, connecting_via_lift) compute from whole cochain spaces or
 whole differentials what the library decides without them, and
 image_membership_via_solve solves for a gamma where the library tests one
-containment.  The paper's side constructions are oracles too: J_m through
-invariant homs (jm_via_invariant_homs), the quotient group G_phi with its
-differential (build_g_phi, d2_via_g_phi), inflation and restriction of
-cochains, quotient modules, the regular module with its product, and the
+containment, and per_phi_route_agreement compares the three Psi routes on one
+phi where the library decides them once per level.  The paper's side
+constructions are oracles too: J_m through invariant homs
+(jm_via_invariant_homs), the quotient group G_phi with its differential
+(build_g_phi, d2_via_g_phi), inflation and restriction of cochains, quotient
+modules, the regular module with its product, and the
 augmentation powers from every g - 1 (ideal_basis_all_elements).  They live
 here because only tests call them.
 """
@@ -317,6 +319,17 @@ def image_membership_via_solve(ctx, phi):
     return descale_vec(x0, jorders, ring)
 
 
+def per_phi_route_agreement(ctx: ObstructionContext, phi: PhiMap, include_m2: bool) -> dict:
+    """Routes B (and C when include_m2) against route A on this one phi, with
+    the keys of ctx.route_certificate: B entrywise, C up to a coboundary."""
+    psi = ctx.psi_generic(phi).psi_cocycle
+    agreement = {"generic_vs_closed_entrywise": psi.same_values(ctx.psi_closed_form(phi))}
+    if include_m2:
+        diff = psi.add(ctx.psi_m2_formula(phi), sign=-1)
+        agreement["generic_vs_m2_cohomologous"] = ctx.resolution.is_coboundary(diff)
+    return agreement
+
+
 # -- cochains along group maps ------------------------------------------------------
 
 
@@ -416,8 +429,9 @@ def regular_module(gr: GroupRing) -> GModule:
     return GModule(gr.ring, orders, tuple(actions))
 
 
-def quotient_module(module: GModule, sub_scaled: HowellBasis) -> QuotientModule:
-    """module / (scaled submodule), with induced actions."""
+def quotient_module(module: GModule, sub_scaled: HowellBasis):
+    """module / (scaled submodule): (its presentation, the quotient module
+    with induced actions)."""
     ring = module.ring
     t = module.rank
     rel = [
@@ -433,8 +447,7 @@ def quotient_module(module: GModule, sub_scaled: HowellBasis) -> QuotientModule:
         tuple(qp.project_vec(mat_apply(x, a, module.orders)) for x in section)
         for a in module.actions
     ]
-    newmod = make_module(ring, orders, actions)
-    return QuotientModule(t, orders, qp.project, section, ring, newmod)
+    return qp, make_module(ring, orders, actions)
 
 
 def jm_via_invariant_homs(em: ExtensionModules, m: int):

@@ -15,6 +15,7 @@ from helpers import (
     cohomology_rank,
     d2_via_g_phi,
     jm_via_invariant_homs,
+    per_phi_route_agreement,
     phi_is_zero,
     quotient_module,
 )
@@ -160,16 +161,16 @@ def test_acceptance_03_socle_identities():
                     )
                     assert chain.member(moved, m), (name, m)
             # (J/J_m)^G = J_{m+1}/J_m
-            qm = quotient_module(jmod, jm)
-            inv = invariants(qm.module)
+            qp, qmod = quotient_module(jmod, jm)
+            inv = invariants(qmod)
             img = scaled_span(
                 [
-                    qm.project_vec(
+                    qp.project_vec(
                         tuple(v // (ring.modulus // o) for v, o in zip(r, jmod.orders))
                     )
                     for r in nxt.rows
                 ],
-                qm.module.orders,
+                qmod.orders,
                 ring,
             )
             assert img == inv, (name, m)
@@ -238,13 +239,13 @@ def test_acceptance_05_route_agreement():
     for name in ("quaternion8", "dihedral8", "wreath_z4_z2"):
         ctx = ctx_for(name, R2)
         for phi in ctx.enumerate_phi(2):
-            agree = ctx.obstruction_with_routes(phi, include_m2=True).agreement
+            agree = per_phi_route_agreement(ctx, phi, include_m2=True)
             assert agree["generic_vs_closed_entrywise"], (name, phi.matrix)
             assert agree["generic_vs_m2_cohomologous"], (name, phi.matrix)
     for name in ("quaternion8", "wreath_z4_z2"):
         ctx = ctx_for(name, R2)
         for phi in ctx.enumerate_phi(3):
-            agree = ctx.obstruction_with_routes(phi, include_m2=False).agreement
+            agree = per_phi_route_agreement(ctx, phi, include_m2=False)
             assert agree["generic_vs_closed_entrywise"], (name, phi.matrix)
     verdict(5, "routes agree (A = B entrywise; C up to found coboundary) at m = 2 and m = 3")
 

@@ -151,6 +151,30 @@ def test_obstruction_and_verify_build_no_bar_solver(capsys, monkeypatch):
     assert calls and set(calls) == {2}
 
 
+def test_routes_build_closed_and_m2_once_per_hom_row(capsys, monkeypatch):
+    # psi_stream's routed command: routes B and C run on the Howell rows of
+    # Hom_G(I_2, J), not on each of the 40 phis
+    calls = {"psi_closed_form": 0, "psi_m2_formula": 0}
+    for name in calls:
+        route = getattr(obstruction.ObstructionContext, name)
+
+        def counted(self, phi, name=name, route=route):
+            calls[name] += 1
+            return route(self, phi)
+
+        monkeypatch.setattr(obstruction.ObstructionContext, name, counted)
+    code, out, _ = run(
+        capsys, "obstruction", "--catalog", "unitriangular3", "--params", "n=2", "--ell", "2",
+        "--n", "2", "--m", "2", "--routes", "all", "--random", "40", "--seed", "1",
+    )
+    assert code == 0
+    assert len(json.loads(out)["records"]) == 40
+    ext = make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), RingConfig(2, 2))
+    _, basis = obstruction.ObstructionContext(ext).hom_phi_basis(2)
+    assert len(basis.rows) == 2
+    assert calls == {"psi_closed_form": 2, "psi_m2_formula": 2}
+
+
 def test_exit_2_on_bad_catalog(capsys):
     code, _, err = run(capsys, "socle", "--catalog", "nope", "--ell", "2", "--n", "1")
     assert code == 2

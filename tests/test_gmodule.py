@@ -24,6 +24,7 @@ from soclecoh.gmodule import (
     GroupRing,
     dual,
     dual_pair,
+    element_matrices,
     enumerate_scaled_span,
     full_scaled_basis,
     hom_g,
@@ -394,7 +395,7 @@ def test_socle_trivial_module_stabilizes_at_1():
 def test_socle_regular_module_z2():
     gr = ring_of("cyclic", R2, {"ell": 2, "k": 1})
     reg = regular_module(gr)
-    chain = socle_series(reg, gr)
+    chain = socle_series(reg, gr, element_matrices(reg, gr.coords))
     assert chain.stabilization == 2
     assert chain.steps[0].rows == ((1, 1),)
     assert chain.steps[1] == full_scaled_basis(reg.orders, R2)
@@ -406,7 +407,8 @@ def test_socle_series_stall_raises_not_nilpotent(monkeypatch):
     i1 = gr.ideal_basis(1)
     monkeypatch.setattr(gr, "ideal_basis", lambda m: i1)
     with pytest.raises(NotNilpotent):
-        socle_series(regular_module(gr), gr)
+        reg = regular_module(gr)
+        socle_series(reg, gr, element_matrices(reg, gr.coords))
 
 
 def test_socle_wreath_ranks():
@@ -497,17 +499,17 @@ def test_socle_identities_catalog():
                     )
                     assert chain.member(moved, m)
             # (J/J_m)^G equals the image of J_{m+1}
-            qm = quotient_module(jmod, jm)
-            inv = invariants(qm.module)
+            qp, qmod = quotient_module(jmod, jm)
+            inv = invariants(qmod)
             nxt = chain.basis(m + 1) if m < len(chain.steps) else chain.basis(m)
             img = scaled_span(
                 [
-                    qm.project_vec(
+                    qp.project_vec(
                         tuple(v // (ring.modulus // o) for v, o in zip(r, jmod.orders))
                     )
                     for r in nxt.rows
                 ],
-                qm.module.orders,
+                qmod.orders,
                 ring,
             )
             assert img == inv

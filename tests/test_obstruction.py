@@ -14,17 +14,18 @@ from helpers import (
     d2_via_g_phi,
     image_membership_via_solve,
     mixer32,
+    per_phi_route_agreement,
     phi_is_zero,
     twisted_class2_spec,
 )
 from soclecoh import gmodule
-from soclecoh.cli import _cochain_dump, _cochain_hash
+from soclecoh.cli import _cochain_dump, _cochain_hash, _phi_matrix
 from soclecoh.cohomology import CochainComplex, Cochain, cup, is_cocycle
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
 from soclecoh.fingroup import catalog, group_from_json, make_extension
-from soclecoh.gmodule import mat_apply, vec_reduce
+from soclecoh.gmodule import mat_apply, scale_vec, vec_reduce
 from soclecoh.obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext, PhiMap
-from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig
+from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig, contains
 
 R2 = RingConfig(2, 1)
 R3 = RingConfig(3, 1)
@@ -279,6 +280,16 @@ SEEDED_GUARD_CASES = [
 ]
 
 
+def guard_ctx(name, ring, params):
+    if name != "twisted":
+        return ctx_for(name, ring, params)
+    key = (name, ring, params)
+    if key not in _ctx_cache:
+        group = group_from_json(twisted_class2_spec(*params))
+        _ctx_cache[key] = ObstructionContext(make_extension(group, ring))
+    return _ctx_cache[key]
+
+
 def blob_hash(c):
     """The Psi digest as the CLI computed it before streaming: sha256 of the
     whole compact, sorted JSON text of _cochain_dump."""
@@ -293,11 +304,7 @@ def psi_checks():
     checked, since together they take hundreds of MB."""
     def contexts():
         for name, ring, params in GUARD_CASES:
-            if name == "twisted":
-                group = group_from_json(twisted_class2_spec(*params))
-                yield (name, params), ObstructionContext(make_extension(group, ring)), (2, 3), None
-            else:
-                yield (name, params), ctx_for(name, ring, params), (2, 3), None
+            yield (name, params), guard_ctx(name, ring, params), (2, 3), None
         for name, ring, params, levels, count, seed in SEEDED_GUARD_CASES:
             ctx = ObstructionContext(make_extension(catalog(name, params), ring))
             yield (name, params), ctx, levels, (count, seed)
@@ -417,7 +424,7 @@ def test_psi_of_phi_gamma_always_zero_class():
 def test_routes_agree_q8_m2():
     ctx = ctx_for("quaternion8")
     for phi in ctx.enumerate_phi(2):
-        agree = ctx.obstruction_with_routes(phi, include_m2=True).agreement
+        agree = per_phi_route_agreement(ctx, phi, include_m2=True)
         assert agree["generic_vs_closed_entrywise"]
         assert agree["generic_vs_m2_cohomologous"]
 
@@ -426,10 +433,95 @@ def test_routes_agree_mixer_m2_and_m3():
     ctx = ctx_for("mixer32")
     for m in (2, 3):
         for phi in ctx.enumerate_phi(m):
-            agree = ctx.obstruction_with_routes(phi, include_m2=m == 2).agreement
+            agree = per_phi_route_agreement(ctx, phi, include_m2=m == 2)
             assert agree["generic_vs_closed_entrywise"], (m, phi.matrix)
             if m == 2:
                 assert agree["generic_vs_m2_cohomologous"]
+
+
+ROUTE_KEYS = ("generic_vs_closed_entrywise", "generic_vs_m2_cohomologous")
+
+
+def per_phi_and(ctx, m, include_m2):
+    """The AND over every phi of the level of the per-phi route oracle."""
+    out = dict.fromkeys(ROUTE_KEYS[: 1 + include_m2], True)
+    for phi in ctx.enumerate_phi(m):
+        for key, ok in per_phi_route_agreement(ctx, phi, include_m2).items():
+            out[key] = out[key] and ok
+    return out
+
+
+@pytest.mark.parametrize("name,ring,params", GUARD_CASES)
+def test_route_certificate_is_the_and_of_the_per_phi_oracle(name, ring, params):
+    ctx = guard_ctx(name, ring, params)
+    for m in (2, 3):
+        cert = ctx.route_certificate(m, include_m2=m == 2)
+        assert list(cert) == list(ROUTE_KEYS[: 1 + (m == 2)])
+        assert cert == per_phi_and(ctx, m, m == 2), (name, m)
+
+
+def test_routed_records_read_a_copy_of_the_certificate():
+    ctx = ObstructionContext(make_extension(catalog("unitriangular3", {"ell": 2, "n": 2}), R4))
+    phi = next(ctx.random_phi(2, random.Random(1), 1))
+    res = ctx.obstruction_with_routes(phi, include_m2=True)
+    assert res.agreement == ctx.route_certificate(2, True) == dict.fromkeys(ROUTE_KEYS, True)
+    assert res.psi_cocycle.same_values(ctx.psi_generic(phi).psi_cocycle)
+    res.agreement["generic_vs_closed_entrywise"] = False
+    assert ctx.route_certificate(2, True)["generic_vs_closed_entrywise"]
+
+
+# q >= 3: a sign flip in route B is invisible over Z/2
+@pytest.mark.parametrize("name,ring,params", [
+    ("heisenberg", R3, {"ell": 3}),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+])
+def test_route_certificate_fails_on_a_negated_closed_form(name, ring, params, monkeypatch):
+    from soclecoh import obstruction
+
+    pair = obstruction.dual_pair
+    monkeypatch.setattr(obstruction, "dual_pair", lambda u, x, o, r: -pair(u, x, o, r))
+    ctx = ObstructionContext(make_extension(catalog(name, params), ring))
+    cert = ctx.route_certificate(2, include_m2=True)
+    assert cert == {"generic_vs_closed_entrywise": False, "generic_vs_m2_cohomologous": True}
+    assert cert == per_phi_and(ctx, 2, True)
+
+
+# q >= 3 again, on groups with level-2 classes Psi != 0: on heisenberg(3)
+# every such Psi is a coboundary, and so is each term of the level-2 sum
+@pytest.mark.parametrize("name,ring,params", [
+    ("free_class2", R3, {"d": 2, "ell": 3, "n": 1}),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+])
+def test_route_certificate_fails_on_a_dropped_cup_term(name, ring, params, monkeypatch):
+    # a zero x_i drops the term -x_i cup d2(phi(rho_i)) of the level-2 sum
+    xs = ObstructionContext.dual_basis_cochains
+    monkeypatch.setattr(
+        ObstructionContext, "dual_basis_cochains",
+        lambda self: xs(self)[:-1] + [Cochain.zero(self.r_action, 1)],
+    )
+    ctx = ObstructionContext(make_extension(catalog(name, params), ring))
+    cert = ctx.route_certificate(2, include_m2=True)
+    assert cert == {"generic_vs_closed_entrywise": True, "generic_vs_m2_cohomologous": False}
+    assert cert == per_phi_and(ctx, 2, True)
+
+
+@pytest.mark.parametrize("name,ring,params", [
+    ("mixer32", R2, None),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+    ("heisenberg", R3, {"ell": 3}),
+])
+def test_file_phis_lie_in_the_span_of_the_hom_rows(name, ring, params, tmp_path):
+    # the premise of route_certificate: a phi read from a file, here each
+    # phi_gamma of J_m, lies in the span of the Howell rows of Hom_G(I_m, J)
+    ctx = ctx_for(name, ring, params)
+    for m in (2, 3):
+        hm, basis = ctx.hom_phi_basis(m)
+        for gamma in ctx.enumerate_jm(m):
+            pf = tmp_path / "phi.json"
+            pf.write_text(json.dumps({"m": m, "matrix": ctx.em.phi_gamma_matrix(gamma, m)}))
+            phi = ctx.phi_from_matrix(m, _phi_matrix(json.loads(pf.read_text()), m))
+            coords = hm.matrix_to_coords(phi.matrix)
+            assert contains(basis, scale_vec(coords, hm.module.orders, ring)), (name, m, gamma)
 
 
 def test_m2_formula_rejects_other_levels():
