@@ -136,18 +136,17 @@ def _check_count(flag, count):
 
 
 def _cochain_dump(c):
-    entries = []
-    for tup in sorted(c.values):
-        entries.append([list(tup), list(c.values[tup])])
-    return {"degree": c.degree, "entries": entries}
+    """A Cochain or ConnectingCochain as JSON, its entries in sorted order."""
+    return {"degree": c.degree, "entries": [[list(t), list(v)] for t, v in c.entries()]}
 
 
 def _cochain_hash(c) -> str:
     """sha256 of _cochain_dump(c) as compact sorted JSON, fed entry by entry."""
     h = hashlib.sha256(b'{"degree":%d,"entries":[' % c.degree)
+    entry = "[[%s],[%s]]" % (",".join(["%d"] * c.degree), ",".join(["%d"] * c.action.module.rank))
     sep = ""
-    for tup in sorted(c.values):
-        h.update(f"{sep}[[{','.join(map(str, tup))}],[{','.join(map(str, c.values[tup]))}]]".encode())
+    for tup, vec in c.entries():
+        h.update((sep + entry % (tup + vec)).encode())
         sep = ","
     h.update(b"]}")
     return h.hexdigest()
@@ -249,15 +248,15 @@ def cmd_obstruction(args) -> int:
             res = ctx.obstruction_with_routes(phi, include_m2=include_m2)
         rec = {
             "phi": [list(r) for r in phi.matrix],
-            "psi_hash": _cochain_hash(res.psi_cocycle),
+            "psi_hash": _cochain_hash(res.psi),
             "zero_class": res.is_zero_class,
         }
         if res.agreement is not None:
             rec["routes"] = res.agreement
         if args.dump_cochains:
-            rec["psi"] = _cochain_dump(res.psi_cocycle)
+            rec["psi"] = _cochain_dump(res.psi)
             if res.is_zero_class:
-                witness = ctx.r_complex.coboundary_witness(res.psi_cocycle)
+                witness = ctx.r_complex.coboundary_witness(res.psi.materialize())
                 if witness is None:
                     raise SocleCohError("the H^3 decision and the bar solve disagree")
                 rec["witness"] = _cochain_dump(witness)

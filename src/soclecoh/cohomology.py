@@ -107,6 +107,14 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.values
 
+    def value(self, t):
+        """f on the tuple t, zero where f has no stored value."""
+        return self.values.get(t) or (0,) * self.action.module.rank
+
+    def entries(self):
+        """The (tuple, value) pairs of the support in sorted tuple order."""
+        return ((t, self.values[t]) for t in sorted(self.values))
+
     def add(self, other: "Cochain", sign: int = 1) -> "Cochain":
         orders = self.action.module.orders
         out = dict(self.values)
@@ -391,13 +399,14 @@ class CyclicTensorResolution:
             raise NotACocycle(f"degree-{f.degree} cochain is not a cocycle")
         return self.vanishes_on_chain_map(f)
 
-    def vanishes_on_chain_map(self, f: Cochain) -> bool:
+    def vanishes_on_chain_map(self, f: "Cochain | ConnectingCochain") -> bool:
         """Does f vanish on every phi_k(e_a)?  Unguarded: for a Z/q-valued
         cocycle of degree <= 3, which the caller vouches for, that is
-        [f] = 0."""
-        values = f.values
+        [f] = 0.  f is a Cochain or connecting's ConnectingCochain, read
+        at the few tuples of the chain map through value(t)."""
+        value = f.value
         return all(
-            sum(c * values[t][0] for t, c in chain.items() if t in values) % self.modulus == 0
+            sum(c * value(t)[0] for t, c in chain.items()) % self.modulus == 0
             for chain in self.chain_map[f.degree].values()
         )
 
@@ -434,6 +443,8 @@ class CoefficientSES:
     its failure to be equivariant is what the connecting map measures.  The
     inclusion and projection are equivariant exactly when each element's
     mid matrix fixes e_0 and induces quot's matrix on coordinates 1..
+    column0[g] is column 0 of rows 1.. of mid[g] (zero at the identity),
+    the coefficients of the connecting map's contraction.
     """
 
     def __init__(self, mid: CoeffAction, quot: CoeffAction):
@@ -453,29 +464,66 @@ class CoefficientSES:
                 for row, qrow in zip(mat[1:], quot.mats[x])
             ):
                 raise SocleCohError("projection is not equivariant")
+        ident = mid.group.identity
+        self.column0 = [
+            (0,) * len(qo) if x == ident else tuple(row[0] for row in mat[1:])
+            for x, mat in enumerate(mid.mats)
+        ]
 
 
-def connecting(ses: CoefficientSES, f: Cochain) -> Cochain:
+@dataclass(frozen=True)
+class ConnectingCochain:
+    """delta f of a cocycle f, kept in factored form.
+
+    (delta f)(g1, t) = sum_j f(t)_j mid[g1][1 + j][0] depends only on g1 and
+    on the value vector f(t), and f takes few distinct values, so columns
+    holds one table per distinct value v, indexed by group element:
+    columns[v][g1] = (delta f)(g1, t) for every t with f(t) = v.  entries()
+    streams the nonzero entries in sorted tuple order (g1 major, then
+    sorted(f.values)), value(t) reads one entry, and materialize() builds
+    the Cochain, which only callers that need every entry as a dict use.
+    """
+
+    action: CoeffAction
+    degree: int
+    f: Cochain
+    columns: dict
+
+    def entries(self):
+        """The (tuple, value) pairs of the support in sorted tuple order."""
+        support = [(t, self.columns[v]) for t, v in sorted(self.f.values.items())]
+        for g in self.action.group.elements():
+            for t, col in support:
+                x = col[g]
+                if x:
+                    yield (g,) + t, (x,)
+
+    def value(self, t):
+        """delta f on the tuple t = (g1,) + rest."""
+        v = self.f.values.get(t[1:])
+        return (self.columns[v][t[0]],) if v else (0,)
+
+    def materialize(self) -> Cochain:
+        return Cochain(self.action, self.degree, dict(self.entries()))
+
+
+def connecting(ses: CoefficientSES, f: Cochain) -> ConnectingCochain:
     """delta f = d(section . f) on coordinate 0 of mid, as a contraction.
 
     The section puts 0 there and only the first face g1.(0, f(g2..)) of the
     bar differential mixes coordinates: (delta f)(g1, g2..) is
-    sum_j f(g2..)_j mid[g1][1 + j][0].  Coordinates 1.. are d(f): f must be a cocycle."""
+    sum_j f(g2..)_j mid[g1][1 + j][0], one column table per distinct value
+    of f.  Coordinates 1.. are d(f): f must be a cocycle."""
     if f.action is not ses.quot and f.action.module is not ses.quot.module:
         raise DimensionMismatch("cochain does not take values in the quotient module")
     if not is_cocycle(f):
         raise NotACocycle("connecting map needs a cocycle")
     q = ses.mid.module.ring.modulus
-    ident = ses.mid.group.identity
-    cols = [(g, [row[0] for row in mat[1:]]) for g, mat in enumerate(ses.mid.mats) if g != ident]
-    values = {}
-    for t, vec in f.values.items():
+    columns = {}
+    for vec in set(f.values.values()):
         nz = [(j, v) for j, v in enumerate(vec) if v]
-        for g, col in cols:
-            x = sum(v * col[j] for j, v in nz) % q
-            if x:
-                values[(g,) + t] = (x,)
-    return Cochain(ses.sub, f.degree + 1, values)
+        columns[vec] = [sum(v * col[j] for j, v in nz) % q for col in ses.column0]
+    return ConnectingCochain(ses.sub, f.degree + 1, f, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +584,14 @@ def d2_on_E01(ec: ExtensionCocycle, x_matrix, target: CoeffAction) -> Cochain:
             raise EquivarianceFailure(
                 "class is not G-equivariant", witness=("generator", i)
             )
-    values = {}
-    for tup, vec in ec.alpha.values.items():
+    # -x(alpha(t)) depends only on alpha(t), which takes few distinct values;
+    # the images are reduced, and alpha's support has no identity entry
+    images = {}
+    for vec in set(ec.alpha.values.values()):
         out = mat_apply(vec, x_matrix, mod.orders)
-        neg = tuple((-v) % o for v, o in zip(out, mod.orders))
-        if any(neg):
-            values[tup] = neg
-    return Cochain.make(target, 2, values)
+        images[vec] = tuple((-v) % o for v, o in zip(out, mod.orders))
+    values = {tup: images[vec] for tup, vec in ec.alpha.values.items() if any(images[vec])}
+    return Cochain(target, 2, values)
 
 
 # ---------------------------------------------------------------------------

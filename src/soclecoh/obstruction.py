@@ -31,6 +31,7 @@ from .cohomology import (
     CoeffAction,
     Cochain,
     CoefficientSES,
+    ConnectingCochain,
     CyclicTensorResolution,
     action_for_quotient_module,
     connecting,
@@ -121,10 +122,11 @@ class PhiMap:
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    """Psi of one phi: the degree-3 cocycle, its class bit, and the route
-    agreement certificates (None when only the generic route ran)."""
+    """Psi of one phi: the degree-3 cocycle in connecting's factored form,
+    its class bit, and the route agreement certificates (None when only the
+    generic route ran)."""
 
-    psi_cocycle: Cochain
+    psi: ConnectingCochain
     is_zero_class: bool
     agreement: dict | None = None
 
@@ -231,15 +233,12 @@ class ObstructionContext:
         return d2_on_E01(self.alpha, self.x_phi_matrix(phi), self.im_dual_action(phi.m))
 
     def psi_generic(self, phi: PhiMap) -> ObstructionResult:
-        """Psi(phi) = delta(d2(phi)) and its H^3 bit.  Psi is not checked again
-        for the cocycle property: delta maps the cocycle d2(phi) to a cocycle,
-        and each premise is checked at run time (README, "The H^3 decision")."""
-        d2c = self.d2_of_phi(phi)
-        psi = connecting(self.dual_sequence(phi.m), d2c)
-        return ObstructionResult(
-            psi_cocycle=psi,
-            is_zero_class=self.resolution.vanishes_on_chain_map(psi),
-        )
+        """Psi(phi) = delta(d2(phi)), factored, and its H^3 bit.  Psi is not
+        checked again for the cocycle property: delta maps the cocycle d2(phi)
+        to a cocycle, and each premise is checked at run time (README, "The
+        H^3 decision")."""
+        psi = connecting(self.dual_sequence(phi.m), self.d2_of_phi(phi))
+        return ObstructionResult(psi, self.resolution.vanishes_on_chain_map(psi))
 
     def psi_closed_form(self, phi: PhiMap) -> Cochain:
         """Direct evaluation from the factor set, no cochain-space solves."""
@@ -248,21 +247,20 @@ class ObstructionContext:
         im = self.em.i_m(phi.m)
         jb = self.em.j
         q = self.ring.modulus
-        w = {}
+        alpha = self.alpha.alpha.values
+        distinct = set(alpha.values())
+        values = {}
         for a in G.elements():
             if a == G.identity:
                 continue
-            wa = im.augmentation_coords(G.inv(a))
-            w[a] = mat_apply(wa, phi.matrix, jb.module.orders)
-        values = {}
-        for (b, c), avec in self.alpha.alpha.values.items():
-            for a in G.elements():
-                if a == G.identity:
-                    continue
-                val = (-dual_pair(w[a], avec, jb.hab.orders, self.ring)) % q
-                if val:
-                    values[(a, b, c)] = (val,)
-        return Cochain.make(self.r_action, 3, values)
+            w = mat_apply(im.augmentation_coords(G.inv(a)), phi.matrix, jb.module.orders)
+            # -<w, alpha(b, c)> depends on (b, c) only through alpha(b, c)
+            pair = {v: (-dual_pair(w, v, jb.hab.orders, self.ring)) % q for v in distinct}
+            for (b, c), avec in alpha.items():
+                if pair[avec]:
+                    values[(a, b, c)] = (pair[avec],)
+        # values are reduced and nonzero, on tuples of non-identity elements
+        return Cochain(self.r_action, 3, values)
 
     def psi_m2_formula(self, phi: PhiMap) -> Cochain:
         """sum_i -x_i cup d2(phi(rho_i)); only meaningful at level 2."""
@@ -304,17 +302,16 @@ class ObstructionContext:
                 )
                 for r in basis.rows
             ]
-            psis = [self.psi_generic(phi).psi_cocycle for phi in rows]
-            agreement = {
-                "generic_vs_closed_entrywise": all(
-                    psi.same_values(self.psi_closed_form(phi)) for phi, psi in zip(rows, psis)
-                )
-            }
+            ses = self.dual_sequence(m)
+            closed = m2 = True
+            for phi in rows:
+                psi = connecting(ses, self.d2_of_phi(phi)).materialize()
+                closed = closed and psi.same_values(self.psi_closed_form(phi))
+                if include_m2 and m2:
+                    m2 = self.resolution.is_coboundary(psi.add(self.psi_m2_formula(phi), sign=-1))
+            agreement = {"generic_vs_closed_entrywise": closed}
             if include_m2:
-                agreement["generic_vs_m2_cohomologous"] = all(
-                    self.resolution.is_coboundary(psi.add(self.psi_m2_formula(phi), sign=-1))
-                    for phi, psi in zip(rows, psis)
-                )
+                agreement["generic_vs_m2_cohomologous"] = m2
             self._certificate[key] = agreement
         return self._certificate[key]
 
@@ -322,7 +319,7 @@ class ObstructionContext:
         """Route A for phi, with the agreement certificates of its level."""
         base = self.psi_generic(phi)
         agreement = dict(self.route_certificate(phi.m, include_m2))
-        return ObstructionResult(base.psi_cocycle, base.is_zero_class, agreement)
+        return ObstructionResult(base.psi, base.is_zero_class, agreement)
 
     # -- membership and the theorem --------------------------------------------
 

@@ -2,7 +2,8 @@
 
 The bar-complex oracles (cocycle_basis, coboundary_basis, cohomology_rank,
 bar_inflation_h2, connecting_via_lift) compute from whole cochain spaces or
-whole differentials what the library decides without them, and
+whole differentials what the library decides without them, connecting_dense
+writes out entry by entry the Psi that the library keeps factored, and
 image_membership_via_solve solves for a gamma where the library tests one
 containment, and per_phi_route_agreement compares the three Psi routes on one
 phi where the library decides them once per level.  The paper's side
@@ -26,6 +27,7 @@ from soclecoh.cohomology import (
     action_for_quotient_module,
     differential,
     extension_cocycle,
+    is_cocycle,
 )
 from soclecoh.errors import DimensionMismatch, NotACocycle, SizeBound, SocleCohError
 from soclecoh.fingroup import (
@@ -182,11 +184,6 @@ def _per_pair_group(elems, mul, gens, ell) -> FinGroup:
     return from_cayley_table(table, [index[g] for g in gens], labels=[str(x) for x in elems], ell=ell)
 
 
-def cochain_value(c: Cochain, t):
-    """c on the tuple t, zero where c has no stored value."""
-    return c.values.get(tuple(t), tuple([0] * c.action.module.rank))
-
-
 def cocycle_basis(cc: CochainComplex, k: int) -> HowellBasis:
     """Scaled basis of Z^k: the kernel of d cut to generator last arguments.
 
@@ -291,6 +288,28 @@ def connecting_via_lift(ses: CoefficientSES, f: Cochain) -> Cochain:
     return Cochain.make(ses.sub, f.degree + 1, values)
 
 
+def connecting_dense(ses: CoefficientSES, f: Cochain) -> Cochain:
+    """The connecting map's contraction written out entry by entry: for each
+    support tuple t of f and each g != 1, (delta f)(g, t) is
+    sum_j f(t)_j mid[g][1 + j][0] mod q, with no column table.  f must be a
+    cocycle."""
+    if f.action is not ses.quot and f.action.module is not ses.quot.module:
+        raise DimensionMismatch("cochain does not take values in the quotient module")
+    if not is_cocycle(f):
+        raise NotACocycle("connecting map needs a cocycle")
+    q = ses.mid.module.ring.modulus
+    ident = ses.mid.group.identity
+    cols = [(g, [row[0] for row in mat[1:]]) for g, mat in enumerate(ses.mid.mats) if g != ident]
+    values = {}
+    for t, vec in f.values.items():
+        nz = [(j, v) for j, v in enumerate(vec) if v]
+        for g, col in cols:
+            x = sum(v * col[j] for j, v in nz) % q
+            if x:
+                values[(g,) + t] = (x,)
+    return Cochain(ses.sub, f.degree + 1, values)
+
+
 def image_membership_via_solve(ctx, phi):
     """A gamma in J_m with phi_gamma = phi, or None, by one LinearSolver solve.
 
@@ -322,7 +341,7 @@ def image_membership_via_solve(ctx, phi):
 def per_phi_route_agreement(ctx: ObstructionContext, phi: PhiMap, include_m2: bool) -> dict:
     """Routes B (and C when include_m2) against route A on this one phi, with
     the keys of ctx.route_certificate: B entrywise, C up to a coboundary."""
-    psi = ctx.psi_generic(phi).psi_cocycle
+    psi = ctx.psi_generic(phi).psi.materialize()
     agreement = {"generic_vs_closed_entrywise": psi.same_values(ctx.psi_closed_form(phi))}
     if include_m2:
         diff = psi.add(ctx.psi_m2_formula(phi), sign=-1)

@@ -13,7 +13,7 @@ import soclecoh
 from helpers import TWISTED_CLASS2, mixer32, twisted_class2_spec
 from soclecoh import obstruction
 from soclecoh.cli import main
-from soclecoh.cohomology import CochainComplex, CoeffAction, Cochain, differential
+from soclecoh.cohomology import CochainComplex, CoeffAction, Cochain, ConnectingCochain, differential
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.zmodlin import RingConfig
 
@@ -173,6 +173,31 @@ def test_routes_build_closed_and_m2_once_per_hom_row(capsys, monkeypatch):
     _, basis = obstruction.ObstructionContext(ext).hom_phi_basis(2)
     assert len(basis.rows) == 2
     assert calls == {"psi_closed_form": 2, "psi_m2_formula": 2}
+
+
+def test_psi_is_materialized_once_per_hom_row_and_only_for_routes(capsys, monkeypatch):
+    # the per-phi path hashes and decides the factored Psi; only the route
+    # certificate builds Psi as a Cochain, once for each Hom_G(I_2, J) row
+    calls = []
+    build = ConnectingCochain.materialize
+
+    def counted(self):
+        calls.append(self.degree)
+        return build(self)
+
+    monkeypatch.setattr(ConnectingCochain, "materialize", counted)
+    u3 = ["--catalog", "unitriangular3", "--params", "n=2", "--ell", "2", "--n", "2"]
+    for argv, want in (
+        (["obstruction", *u3, "--m", "3", "--routes", "generic", "--random", "20", "--seed", "1"], 0),
+        (["obstruction", *u3, "--m", "2", "--routes", "all", "--random", "40", "--seed", "1"], 2),
+        (["verify", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
+          "--exhaustive"], 0),
+        (["verify", *u3, "--m", "2", "--samples", "3", "--seed", "1", "--max-order", "64"], 0),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert calls == [3] * want, argv
 
 
 def test_exit_2_on_bad_catalog(capsys):

@@ -11,6 +11,8 @@ import pytest
 from helpers import (
     TWISTED_CLASS2,
     build_g_phi,
+    connecting_dense,
+    connecting_via_lift,
     d2_via_g_phi,
     image_membership_via_solve,
     mixer32,
@@ -299,8 +301,9 @@ def blob_hash(c):
 
 @pytest.fixture(scope="module")
 def psi_checks():
-    """(case, m, support size, is_cocycle, streamed hash == blob hash) for
-    every phi of GUARD_CASES and SEEDED_GUARD_CASES; each Psi is dropped once
+    """One record per phi of GUARD_CASES and SEEDED_GUARD_CASES: the factored
+    Psi that psi_generic returns against its materialized cochain, the dense
+    contraction and the lifted bar differential.  Each Psi is dropped once
     checked, since together they take hundreds of MB."""
     def contexts():
         for name, ring, params in GUARD_CASES:
@@ -317,35 +320,66 @@ def psi_checks():
             else:
                 count, seed = draws
                 phis = ctx.random_phi(m, random.Random(m if seed is None else seed), count)
+            ses = ctx.dual_sequence(m)
+            points = {t for chain in ctx.resolution.chain_map[3].values() for t in chain}
             for phi in phis:
-                psi = ctx.psi_generic(phi).psi_cocycle
-                out.append((case, m, len(psi.values), is_cocycle(psi), _cochain_hash(psi) == blob_hash(psi)))
+                res = ctx.psi_generic(phi)
+                psi = res.psi.materialize()
+                f = ctx.d2_of_phi(phi)
+                dense = connecting_dense(ses, f).values
+                out.append({
+                    "case": (case, m),
+                    "size": len(psi.values),
+                    "cocycle": is_cocycle(psi),
+                    "streamed_hash": _cochain_hash(res.psi) == blob_hash(psi),
+                    "entrywise": list(res.psi.entries()) == sorted(dense.items())
+                    and psi.values == dense == connecting_via_lift(ses, f).values,
+                    "points": all(res.psi.value(t) == psi.value(t) for t in points),
+                    "bit": res.is_zero_class == ctx.resolution.vanishes_on_chain_map(psi),
+                })
     return out
+
+
+def failing(psi_checks, key):
+    return [rec["case"] for rec in psi_checks if not rec[key]]
 
 
 def test_every_psi_passes_the_degree3_guard(psi_checks):
     # psi_generic no longer runs is_cocycle on Psi; this runs it on every Psi
     # the cases produce, so a route that broke the cocycle property would show
-    assert [(case, m) for case, m, _, cocycle, _ in psi_checks if not cocycle] == []
-    assert any(size for _, _, size, _, _ in psi_checks)
+    assert failing(psi_checks, "cocycle") == []
+    assert any(rec["size"] for rec in psi_checks)
 
 
 def test_streamed_psi_hash_matches_the_json_blob(psi_checks):
-    # _cochain_hash feeds the compact sorted JSON of _cochain_dump to sha256
-    # piece by piece; the digest is that of the whole blob, as before
-    assert [(case, m) for case, m, _, _, same in psi_checks if not same] == []
-    sizes = [size for _, _, size, _, _ in psi_checks]
+    # _cochain_hash feeds the compact sorted JSON of the factored Psi's
+    # entries to sha256 piece by piece; the digest is that of the whole blob
+    # of the materialized cochain
+    assert failing(psi_checks, "streamed_hash") == []
+    sizes = [rec["size"] for rec in psi_checks]
     assert 0 in sizes and max(sizes) > 100_000
     empty = Cochain.zero(ctx_for("quaternion8").r_action, 3)
     assert _cochain_hash(empty) == blob_hash(empty)
+
+
+def test_factored_psi_matches_the_dense_and_lifted_oracles(psi_checks):
+    # entries() streams exactly the sorted items of the dense contraction,
+    # which agrees with the lifted bar differential; value(t) agrees with the
+    # materialized cochain on the chain map's tuples, so the H^3 bit read
+    # through it is the bit of the materialized Psi
+    assert failing(psi_checks, "entrywise") == []
+    assert failing(psi_checks, "points") == []
+    assert failing(psi_checks, "bit") == []
+    assert {rec["case"][0][0] for rec in psi_checks if rec["size"] > 100_000} == {"unitriangular3"}
 
 
 def test_psi_zero_map():
     ctx = ctx_for("quaternion8")
     phi = ctx.phi_from_matrix(2, ((0,), (0,)))
     res = ctx.psi_generic(phi)
-    witness = ctx.r_complex.coboundary_witness(res.psi_cocycle)
-    assert res.psi_cocycle.is_zero()
+    psi = res.psi.materialize()
+    witness = ctx.r_complex.coboundary_witness(psi)
+    assert psi.is_zero()
     assert res.is_zero_class
     assert witness.is_zero()
 
@@ -392,7 +426,7 @@ def test_psi_q8_classes_in_polynomial_basis():
         if phi_is_zero(phi):
             continue
         res = ctx.psi_generic(phi)
-        cls = class_of(res.psi_cocycle)
+        cls = class_of(res.psi.materialize())
         got.add(tuple(sorted(k for k, v in cls.items() if v)))
     assert got == {
         tuple(sorted(("x3", "x2y", "xy2"))),
@@ -465,7 +499,7 @@ def test_routed_records_read_a_copy_of_the_certificate():
     phi = next(ctx.random_phi(2, random.Random(1), 1))
     res = ctx.obstruction_with_routes(phi, include_m2=True)
     assert res.agreement == ctx.route_certificate(2, True) == dict.fromkeys(ROUTE_KEYS, True)
-    assert res.psi_cocycle.same_values(ctx.psi_generic(phi).psi_cocycle)
+    assert res.psi.materialize().same_values(ctx.psi_generic(phi).psi.materialize())
     res.agreement["generic_vs_closed_entrywise"] = False
     assert ctx.route_certificate(2, True)["generic_vs_closed_entrywise"]
 
@@ -534,7 +568,7 @@ def test_m2_formula_rejects_other_levels():
 def test_route_outputs_are_cocycles():
     ctx = ctx_for("mixer32")
     for phi in list(ctx.enumerate_phi(2))[:6]:
-        assert is_cocycle(ctx.psi_generic(phi).psi_cocycle)
+        assert is_cocycle(ctx.psi_generic(phi).psi.materialize())
         assert is_cocycle(ctx.psi_closed_form(phi))
         assert is_cocycle(ctx.psi_m2_formula(phi))
 
@@ -843,6 +877,7 @@ def test_psi_witness_actually_bounds_psi():
         for gamma in ctx.enumerate_jm(2):
             phi = ctx.phi_from_gamma(gamma, 2)
             res = ctx.psi_generic(phi)
-            witness = ctx.r_complex.coboundary_witness(res.psi_cocycle)
+            psi = res.psi.materialize()
+            witness = ctx.r_complex.coboundary_witness(psi)
             assert witness is not None
-            assert differential(witness).same_values(res.psi_cocycle)
+            assert differential(witness).same_values(psi)

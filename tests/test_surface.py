@@ -26,8 +26,15 @@ SOURCES = sorted((ROOT / "src" / "soclecoh").glob("*.py"))
 # The calls reaching each definition:
 #   basis: CyclicTensorResolution.__init__ calls self.basis(k) to build the
 #     chain map; ObstructionContext calls em.socle.basis(m) (SocleChain).
+#   entries: cli._cochain_dump and cli._cochain_hash call c.entries() on the
+#     factored Psi (ConnectingCochain) and _cochain_dump on the --dump-cochains
+#     witness (Cochain); ConnectingCochain.materialize calls self.entries().
+#   value: CyclicTensorResolution.vanishes_on_chain_map calls f.value(t) on
+#     psi_generic's ConnectingCochain and, through is_coboundary, on a Cochain.
 SHARED_METHOD_NAMES = {
     "basis": {"cohomology.CyclicTensorResolution", "gmodule.SocleChain"},
+    "entries": {"cohomology.Cochain", "cohomology.ConnectingCochain"},
+    "value": {"cohomology.Cochain", "cohomology.ConnectingCochain"},
 }
 
 
