@@ -5,8 +5,8 @@ Exit codes are fixed so harnesses can assert precisely:
 
     0  success
     2  unparseable input (bad flags, malformed group/phi files)
-    3  standing-assumption failure (top quotient not free over Z/l^n, or the
-       group ring's augmentation ideal not nilpotent)
+    3  standing-assumption failure (top quotient not free over Z/l^n, H not
+       abelian, or the group ring's augmentation ideal not nilpotent)
     4  size bound exceeded
     5  phi fails validation (wrong shape / not well-defined / not equivariant)
 """
@@ -22,9 +22,9 @@ import sys
 
 from .errors import (
     EquivarianceFailure,
-    GammaNotInSocleLevel,
     GeneratorsDontGenerate,
     InconsistentPresentation,
+    KernelNotAbelian,
     NotAGroup,
     NotEllGroup,
     NotNilpotent,
@@ -32,10 +32,10 @@ from .errors import (
     SizeBound,
     SocleCohError,
     UnknownCatalogEntry,
-    WrongLevel,
 )
 from .cohomology import DEFAULT_H2_MAX_ORDER, inflation_h2_surjective
-from .fingroup import catalog, group_from_json, make_extension
+from .fingroup import ExtensionData, catalog, group_from_json, make_extension
+from .gmodule import ExtensionModules
 from .obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext
 from .zmodlin import RingConfig, span_orders
 
@@ -67,8 +67,6 @@ _PARSE_ERRORS = (
     GeneratorsDontGenerate,
     InconsistentPresentation,
     UnknownCatalogEntry,
-    WrongLevel,
-    GammaNotInSocleLevel,
 )
 
 
@@ -118,13 +116,19 @@ def _load_group(args):
     raise ValueError("a group is required: --catalog NAME or --group-file PATH")
 
 
-def _context(args) -> ObstructionContext:
-    if getattr(args, "m", None) is not None and args.m < 2:
-        raise _InputError(f"obstruction commands need m >= 2, got {args.m}")
+def _extension(args) -> tuple[ExtensionData, str]:
+    """The extension of the requested group, and the group's report label."""
     with _reading_input():
         ring = RingConfig(args.ell, args.n)
         group, label = _load_group(args)
-    return ObstructionContext(make_extension(group, ring), label=label)
+    return make_extension(group, ring), label
+
+
+def _context(args) -> ObstructionContext:
+    if args.m < 2:
+        raise _InputError(f"obstruction commands need m >= 2, got {args.m}")
+    ext, label = _extension(args)
+    return ObstructionContext(ext, label=label)
 
 
 def _check_count(flag, count):
@@ -168,17 +172,17 @@ def _emit(report, args, text_renderer):
 
 
 def cmd_socle(args) -> int:
-    ctx = _context(args)
-    em = ctx.em
+    ext, label = _extension(args)
+    em = ExtensionModules(ext)
     chain = em.socle
     report = {
         "command": "socle",
-        "group": ctx.label,
+        "group": label,
         "ell": args.ell,
         "n": args.n,
-        "order": ctx.ext.total.order,
-        "kernel_order": len(ctx.ext.kernel),
-        "d": ctx.ext.d,
+        "order": ext.total.order,
+        "kernel_order": len(ext.kernel),
+        "d": ext.d,
         "j_orders": list(em.j.module.orders),
         "socle_ranks": [len(span_orders(s)) for s in chain.steps],
         "socle_sizes_log": [s.span_size_log() for s in chain.steps],
@@ -326,14 +330,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hypothesis(args) -> int:
-    ctx = _context(args)
-    holds, diag = inflation_h2_surjective(ctx.ext, max_order=args.max_order)
+    ext, label = _extension(args)
+    holds, diag = inflation_h2_surjective(ext, max_order=args.max_order)
     report = {
         "command": "hypothesis",
-        "group": ctx.label,
+        "group": label,
         "ell": args.ell,
         "n": args.n,
-        "order": ctx.ext.total.order,
+        "order": ext.total.order,
         "holds": holds,
         "h2_total_dim": diag["h2_total_dim"],
         "h2_orders": diag["h2_orders"],
@@ -408,7 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuotientNotFree, NotNilpotent) as exc:
+    except (QuotientNotFree, KernelNotAbelian, NotNilpotent) as exc:
         print(f"standing assumption failed: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except SizeBound as exc:

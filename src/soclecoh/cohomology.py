@@ -38,7 +38,6 @@ from .gmodule import (
     mat_apply,
     mat_identity,
     mat_mul,
-    module_J,
     trivial_module,
     vec_reduce,
 )
@@ -531,18 +530,9 @@ def connecting(ses: CoefficientSES, f: Cochain) -> ConnectingCochain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionCocycle:
-    """Factor set of an extension pushed to the capped abelianized kernel."""
-
-    ext: ExtensionData
-    bundle: JBundle
-    alpha: Cochain
-
-
-def extension_cocycle(ext: ExtensionData, bundle: JBundle | None = None) -> ExtensionCocycle:
-    """alpha(g, h) = s(g) s(h) s(gh)^-1 in H, written in capped H^ab coords."""
-    bundle = bundle or module_J(ext)
+def extension_cocycle(ext: ExtensionData, bundle: JBundle) -> Cochain:
+    """alpha(g, h) = s(g) s(h) s(gh)^-1 in H, written in capped H^ab coords:
+    a 2-cocycle of G with values in bundle.hab."""
     g = ext.total
     G = ext.quotient
     action = action_for_quotient_module(ext, bundle.hab)
@@ -564,22 +554,24 @@ def extension_cocycle(ext: ExtensionData, bundle: JBundle | None = None) -> Exte
     alpha = Cochain.make(action, 2, values)
     if not is_cocycle(alpha):
         raise NotACocycle("factor set is not a 2-cocycle")
-    return ExtensionCocycle(ext, bundle, alpha)
+    return alpha
 
 
-def d2_on_E01(ec: ExtensionCocycle, x_matrix, target: CoeffAction) -> Cochain:
+def d2_on_E01(alpha: Cochain, sigma, x_matrix, target: CoeffAction) -> Cochain:
     """d2 of an invariant class x in Hom(H^ab, M): the cochain -x(alpha).
 
-    x_matrix maps capped H^ab coordinates to target module coordinates and
-    must be G-equivariant; the result is a 2-cocycle on G with M values.
-    Its cocycle check is left to the consumer: `connecting`, the degree-3
-    guard of `is_coboundary`, or `coboundary_witness`.
+    alpha is the factor set from extension_cocycle, whose module is the
+    capped H^ab, and sigma the extension's basis of G.  x_matrix maps capped
+    H^ab coordinates to target module coordinates and must be G-equivariant;
+    the result is a 2-cocycle on G with M values.  Its cocycle check is left
+    to the consumer: `connecting`, the degree-3 guard of `is_coboundary`, or
+    `coboundary_witness`.
     """
-    hab = ec.bundle.hab
+    hab = alpha.action.module
     mod = target.module
-    for i, sigma in enumerate(ec.ext.sigma):
+    for i, s in enumerate(sigma):
         lhs = mat_mul(hab.actions[i], x_matrix, mod.orders)
-        rhs = mat_mul(x_matrix, target.mats[sigma], mod.orders)
+        rhs = mat_mul(x_matrix, target.mats[s], mod.orders)
         if lhs != rhs:
             raise EquivarianceFailure(
                 "class is not G-equivariant", witness=("generator", i)
@@ -587,10 +579,10 @@ def d2_on_E01(ec: ExtensionCocycle, x_matrix, target: CoeffAction) -> Cochain:
     # -x(alpha(t)) depends only on alpha(t), which takes few distinct values;
     # the images are reduced, and alpha's support has no identity entry
     images = {}
-    for vec in set(ec.alpha.values.values()):
+    for vec in set(alpha.values.values()):
         out = mat_apply(vec, x_matrix, mod.orders)
         images[vec] = tuple((-v) % o for v, o in zip(out, mod.orders))
-    values = {tup: images[vec] for tup, vec in ec.alpha.values.items() if any(images[vec])}
+    values = {tup: images[vec] for tup, vec in alpha.values.items() if any(images[vec])}
     return Cochain(target, 2, values)
 
 

@@ -48,6 +48,10 @@ class QuotientNotFree(SocleCohError):
     """The top abelian quotient is not a free module over Z/l^n."""
 
 
+class KernelNotAbelian(SocleCohError):
+    """The descending step H of the extension is not abelian."""
+
+
 class UnknownCatalogEntry(SocleCohError):
     """Unrecognized catalog group name."""
 

@@ -338,7 +338,6 @@ class AbelianStructure:
     basis, i.e. x = prod basis[i]^coords[x][i].
     """
 
-    group: FinGroup
     orders: tuple
     basis: tuple
     coords: tuple
@@ -381,7 +380,7 @@ def abelian_structure(a: FinGroup) -> AbelianStructure:
         coords[x] = cs
     if any(c is None for c in coords):
         raise NotAGroup("basis does not span")
-    return AbelianStructure(a, orders, basis, tuple(coords))
+    return AbelianStructure(orders, basis, tuple(coords))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotNilpotent
+from .errors import DimensionMismatch, KernelNotAbelian, NotNilpotent
 from .fingroup import ExtensionData, abelian_structure
 from .zmodlin import (
     HowellBasis,
@@ -506,7 +506,6 @@ class JBundle:
     h_coords maps a parent-group index belonging to H to capped coordinates.
     """
 
-    ext: ExtensionData
     hab: GModule
     module: GModule
     h_coords: dict
@@ -516,6 +515,8 @@ def module_J(ext: ExtensionData) -> JBundle:
     ring = ext.ring
     q = ring.modulus
     hgrp, to_parent, to_sub = ext.kernel.as_group()
+    if not hgrp.is_abelian():
+        raise KernelNotAbelian(f"the kernel H (order {hgrp.order}) is not abelian")
     st = abelian_structure(hgrp)
     caps = tuple(min(o, q) for o in st.orders)
     g = ext.total
@@ -532,7 +533,7 @@ def module_J(ext: ExtensionData) -> JBundle:
         to_parent[i]: tuple(c % cap for c, cap in zip(st.coords[i], caps))
         for i in range(hgrp.order)
     }
-    return JBundle(ext, hab, jmod, h_coords)
+    return JBundle(hab, jmod, h_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -598,18 +599,12 @@ class ExtensionModules:
         self.elem_mats = element_matrices(self.j.module, self.gr.coords)
         self.socle = socle_series(self.j.module, self.gr, self.elem_mats)
         self._im = {}
-        self._lam = {}
         self._lifts = {}
 
     def i_m(self, m: int) -> QuotientModule:
         if m not in self._im:
             self._im[m] = i_m(self.gr, m)
         return self._im[m]
-
-    def lambda_m(self, m: int) -> GModule:
-        if m not in self._lam:
-            self._lam[m] = lambda_m(self.gr, self.i_m(m))
-        return self._lam[m]
 
     def lift_actions(self, m: int):
         """Action matrices on J of the Lambda lifts of the I_m basis vectors."""

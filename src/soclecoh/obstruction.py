@@ -49,13 +49,13 @@ from .errors import (
 from .fingroup import ExtensionData
 from .gmodule import (
     ExtensionModules,
-    GModule,
     descale_vec,
     dual,
     dual_pair,
     dual_transpose,
     enumerate_scaled_span,
     hom_g,
+    lambda_m,
     mat_apply,
     mat_mul,
     random_scaled_span_element,
@@ -143,8 +143,6 @@ class ObstructionContext:
         self.r_action = CoeffAction.trivial(ext.quotient, self.ring)
         self.r_complex = CochainComplex(self.r_action)
         self.resolution = CyclicTensorResolution(ext)
-        self._imdual = {}
-        self._imdual_action = {}
         self._ses = {}
         self._hom = {}
         self._image = {}
@@ -152,21 +150,14 @@ class ObstructionContext:
 
     # -- cached module-side data -----------------------------------------
 
-    def im_dual(self, m: int) -> GModule:
-        if m not in self._imdual:
-            self._imdual[m] = dual(self.em.i_m(m).module)
-        return self._imdual[m]
-
-    def im_dual_action(self, m: int) -> CoeffAction:
-        if m not in self._imdual_action:
-            self._imdual_action[m] = action_for_quotient_module(self.ext, self.im_dual(m))
-        return self._imdual_action[m]
-
     def dual_sequence(self, m: int) -> CoefficientSES:
-        """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1)=0 section."""
+        """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1)=0 section;
+        its quot is the I_m^vee that d2(phi) takes values in."""
         if m not in self._ses:
-            mid = action_for_quotient_module(self.ext, dual(self.em.lambda_m(m)))
-            self._ses[m] = CoefficientSES(mid, self.im_dual_action(m))
+            im = self.em.i_m(m)
+            mid = action_for_quotient_module(self.ext, dual(lambda_m(self.em.gr, im)))
+            quot = action_for_quotient_module(self.ext, dual(im.module))
+            self._ses[m] = CoefficientSES(mid, quot)
         return self._ses[m]
 
     def hom_phi_basis(self, m: int):
@@ -230,7 +221,9 @@ class ObstructionContext:
         return dual_transpose(phi.matrix, im.module.orders, jmod.orders)
 
     def d2_of_phi(self, phi: PhiMap) -> Cochain:
-        return d2_on_E01(self.alpha, self.x_phi_matrix(phi), self.im_dual_action(phi.m))
+        return d2_on_E01(
+            self.alpha, self.ext.sigma, self.x_phi_matrix(phi), self.dual_sequence(phi.m).quot
+        )
 
     def psi_generic(self, phi: PhiMap) -> ObstructionResult:
         """Psi(phi) = delta(d2(phi)), factored, and its H^3 bit.  Psi is not
@@ -247,7 +240,7 @@ class ObstructionContext:
         im = self.em.i_m(phi.m)
         jb = self.em.j
         q = self.ring.modulus
-        alpha = self.alpha.alpha.values
+        alpha = self.alpha.values
         distinct = set(alpha.values())
         values = {}
         for a in G.elements():
@@ -270,15 +263,17 @@ class ObstructionContext:
         jb = self.em.j
         q = self.ring.modulus
         xs = self.dual_basis_cochains()
-        total = Cochain.zero(self.r_action, 3)
+        total = {}
         for i, sigma in enumerate(self.ext.sigma):
             gamma_i = mat_apply(im.augmentation_coords(sigma), phi.matrix, jb.module.orders)
             xmat = tuple(
                 ((q // jb.hab.orders[k]) * gamma_i[k] % q,) for k in range(jb.hab.rank)
             )
-            xi = d2_on_E01(self.alpha, xmat, self.r_action)
-            total = total.add(cup(xs[i], xi), sign=-1)
-        return total
+            xi = d2_on_E01(self.alpha, self.ext.sigma, xmat, self.r_action)
+            for t, (v,) in cup(xs[i], xi).values.items():
+                total[t] = total.get(t, 0) - v
+        values = {t: (v % q,) for t, v in total.items() if v % q}
+        return Cochain(self.r_action, 3, values)
 
     def route_certificate(self, m: int, include_m2: bool) -> dict:
         """Whether route B (and route C when include_m2, which needs m = 2)

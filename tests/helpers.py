@@ -5,8 +5,9 @@ bar_inflation_h2, connecting_via_lift) compute from whole cochain spaces or
 whole differentials what the library decides without them, connecting_dense
 writes out entry by entry the Psi that the library keeps factored, and
 image_membership_via_solve solves for a gamma where the library tests one
-containment, and per_phi_route_agreement compares the three Psi routes on one
-phi where the library decides them once per level.  The paper's side
+containment, per_phi_route_agreement compares the three Psi routes on one
+phi where the library decides them once per level, and psi_m2_formula_via_add
+sums route C by whole-cochain adds where the library fills one dict.  The paper's side
 constructions are oracles too: J_m through invariant homs
 (jm_via_invariant_homs), the quotient group G_phi with its differential
 (build_g_phi, d2_via_g_phi), inflation and restriction of cochains, quotient
@@ -25,6 +26,8 @@ from soclecoh.cohomology import (
     Cochain,
     CoefficientSES,
     action_for_quotient_module,
+    cup,
+    d2_on_E01,
     differential,
     extension_cocycle,
     is_cocycle,
@@ -50,6 +53,7 @@ from soclecoh.gmodule import (
     dual_transpose,
     enumerate_scaled_span,
     hom_g,
+    lambda_m,
     make_module,
     mat_apply,
     mat_identity,
@@ -146,6 +150,22 @@ def twisted_class2_spec(ell: int, n: int, central_order: int) -> dict:
             "powers": [[1], [0]], "central_orders": [central_order],
         }
     }
+
+
+def c2_wreath_c4_spec() -> dict:
+    """Cayley JSON of C_2 wr C_4 = (Z/2)^4 x| Z/4, the generator of Z/4
+    shifting the coordinates cyclically, on the generators (e_1, 0) and
+    (0, 1); order 64.  At l^n = 2 its descending step H has order 16 and is
+    not abelian."""
+    elems = [(v, k) for v in iproduct(range(2), repeat=4) for k in range(4)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        (v, a), (w, b) = x, y
+        return (tuple((v[i] + w[(i - a) % 4]) % 2 for i in range(4)), (a + b) % 4)
+
+    table = [[index[mul(x, y)] for y in elems] for x in elems]
+    return {"cayley": table, "generators": [index[((1, 0, 0, 0), 0)], index[((0,) * 4, 1)]]}
 
 
 def per_pair_catalog(name: str, params) -> FinGroup:
@@ -349,6 +369,20 @@ def per_phi_route_agreement(ctx: ObstructionContext, phi: PhiMap, include_m2: bo
     return agreement
 
 
+def psi_m2_formula_via_add(ctx: ObstructionContext, phi: PhiMap) -> Cochain:
+    """Route C as a chain of Cochain.add calls, from zero: the sum
+    sum_i -x_i cup d2(phi(rho_i)) that psi_m2_formula adds in one pass."""
+    im, jb, q = ctx.em.i_m(2), ctx.em.j, ctx.ring.modulus
+    xs = ctx.dual_basis_cochains()
+    total = Cochain.zero(ctx.r_action, 3)
+    for i, sigma in enumerate(ctx.ext.sigma):
+        gamma_i = mat_apply(im.augmentation_coords(sigma), phi.matrix, jb.module.orders)
+        xmat = tuple(((q // jb.hab.orders[k]) * gamma_i[k] % q,) for k in range(jb.hab.rank))
+        xi = d2_on_E01(ctx.alpha, ctx.ext.sigma, xmat, ctx.r_action)
+        total = total.add(cup(xs[i], xi), sign=-1)
+    return total
+
+
 # -- cochains along group maps ------------------------------------------------------
 
 
@@ -478,7 +512,7 @@ def jm_via_invariant_homs(em: ExtensionModules, m: int):
     """
     im = em.i_m(m)
     jmod = em.j.module
-    hom_lam, basis_lam = hom_g(em.lambda_m(m), jmod)
+    hom_lam, basis_lam = hom_g(lambda_m(em.gr, im), jmod)
     hom_im, basis_im = hom_g(im.module, jmod)
     jm_basis = em.socle.basis(m)
 
@@ -607,10 +641,10 @@ def build_g_phi(ctx: ObstructionContext, phi: PhiMap) -> GPhiData:
             full_size *= o
         ok_iso = span.span_size() == full_size == len(kernel_phi)
 
-    ec_phi = extension_cocycle(ext_phi, jb_phi)
+    factor_set = extension_cocycle(ext_phi, jb_phi)
     imdual_action = action_for_quotient_module(ext, image_dual)
     alpha_values = {}
-    for tup, vec in ec_phi.alpha.values.items():
+    for tup, vec in factor_set.values.items():
         out = mat_apply(vec, kernel_iso, image_dual.orders)
         if any(out):
             alpha_values[tup] = out
@@ -623,9 +657,9 @@ def build_g_phi(ctx: ObstructionContext, phi: PhiMap) -> GPhiData:
         cor.append(tuple(c % o for c, o in zip(cs, o_orders)))
     push = dual_transpose(tuple(cor), im_m.module.orders, o_orders)
     beta_values = {}
-    imv_action = ctx.im_dual_action(phi.m)
+    imv_action = ctx.dual_sequence(phi.m).quot
     for tup, vec in alpha_phi.values.items():
-        out = mat_apply(vec, push, ctx.im_dual(phi.m).orders)
+        out = mat_apply(vec, push, imv_action.module.orders)
         if any(out):
             beta_values[tup] = out
     beta_phi = Cochain.make(imv_action, 2, beta_values)
@@ -650,5 +684,5 @@ def d2_via_g_phi(ctx: ObstructionContext, phi: PhiMap):
     d2q = Cochain.zero(data.beta_phi.action, 2).add(data.beta_phi, sign=-1)
     d2a = ctx.d2_of_phi(phi)
     diff = d2q.add(d2a, sign=-1)
-    witness = CochainComplex(ctx.im_dual_action(phi.m)).coboundary_witness(diff)
+    witness = CochainComplex(ctx.dual_sequence(phi.m).quot).coboundary_witness(diff)
     return d2q, witness, data

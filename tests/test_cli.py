@@ -10,10 +10,11 @@ import time
 import pytest
 
 import soclecoh
-from helpers import TWISTED_CLASS2, mixer32, twisted_class2_spec
+from helpers import TWISTED_CLASS2, c2_wreath_c4_spec, mixer32, twisted_class2_spec
 from soclecoh import obstruction
 from soclecoh.cli import main
 from soclecoh.cohomology import CochainComplex, CoeffAction, Cochain, ConnectingCochain, differential
+from soclecoh.errors import GammaNotInSocleLevel, WrongLevel
 from soclecoh.fingroup import catalog, make_extension
 from soclecoh.zmodlin import RingConfig
 
@@ -230,6 +231,66 @@ def test_exit_3_on_nonfree_quotient(capsys):
     )
     assert code == 3
     assert "standing assumption" in err
+
+
+def wreath_group_file(tmp_path):
+    p = tmp_path / "c2wrc4.json"
+    p.write_text(json.dumps(c2_wreath_c4_spec()))
+    return p
+
+
+@pytest.mark.parametrize("command", [
+    ["socle"],
+    ["obstruction", "--m", "2"],
+    ["verify", "--m", "2", "--exhaustive", "--max-order", "64"],
+])
+def test_exit_3_on_nonabelian_kernel(capsys, tmp_path, command):
+    # C_2 wr C_4 at l^n = 2 has a nonabelian descending step H: a standing
+    # assumption fails, the input is not malformed
+    gf = wreath_group_file(tmp_path)
+    code, out, err = run(
+        capsys, command[0], "--group-file", str(gf), "--ell", "2", "--n", "1", *command[1:]
+    )
+    assert code == 3 and out == ""
+    assert "standing assumption failed" in err and "not abelian" in err
+    assert "Traceback" not in err
+
+
+def test_hypothesis_on_a_nonabelian_kernel(capsys, tmp_path):
+    # the H^2 check reads the extension only, so a nonabelian H is no obstacle
+    gf = wreath_group_file(tmp_path)
+    code, out, _ = run(
+        capsys, "hypothesis", "--group-file", str(gf), "--ell", "2", "--n", "1",
+        "--max-order", "64",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["holds"], rep["h2_total_dim"], rep["inflated_dim"]) == (False, 4, 1)
+
+
+_QUATERNION8 = ["--catalog", "quaternion8", "--ell", "2", "--n", "1"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["socle", *_QUATERNION8], 0),
+    (["hypothesis", *_QUATERNION8], 0),
+    (["obstruction", *_QUATERNION8, "--m", "2", "--routes", "all"], 1),
+    (["verify", *_QUATERNION8, "--m", "2", "--exhaustive"], 1),
+])
+def test_only_obstruction_and_verify_build_a_context(monkeypatch, capsys, argv, built):
+    # bench/child.py reads setup as done when ObstructionContext.__init__
+    # returns, so the commands it times must build exactly one
+    calls = []
+    init = obstruction.ObstructionContext.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(obstruction.ObstructionContext, "__init__", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == built
 
 
 def test_exit_4_on_size_bound(capsys):
@@ -639,6 +700,22 @@ def test_library_fault_is_not_an_input_error(monkeypatch, exc):
             "verify", "--catalog", "quaternion8", "--ell", "2", "--n", "1", "--m", "2",
             "--exhaustive",
         ])
+
+
+@pytest.mark.parametrize("method, exc, argv", [
+    ("psi_m2_formula", WrongLevel, ["obstruction", *_QUATERNION8, "--m", "2", "--routes", "all"]),
+    ("phi_from_gamma", GammaNotInSocleLevel, ["verify", *_QUATERNION8, "--m", "2", "--exhaustive"]),
+])
+def test_level_error_is_not_an_input_error(monkeypatch, method, exc, argv):
+    # no input reaches either error: psi_m2_formula runs only at --m 2, and
+    # verify draws its gammas from J_m.  Raised mid-computation, each is a
+    # fault of the library and keeps its traceback instead of exiting 2
+    def fault(self, *args):
+        raise exc("raised mid-computation")
+
+    monkeypatch.setattr(obstruction.ObstructionContext, method, fault)
+    with pytest.raises(exc, match="mid-computation"):
+        main(argv)
 
 
 def test_heisenberg5_exhaustive_verify():

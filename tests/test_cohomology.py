@@ -48,7 +48,14 @@ from soclecoh.fingroup import (
     from_class2_presentation,
     make_extension,
 )
-from soclecoh.gmodule import ExtensionModules, dual, mat_identity, trivial_module
+from soclecoh.gmodule import (
+    ExtensionModules,
+    dual,
+    lambda_m,
+    mat_identity,
+    module_J,
+    trivial_module,
+)
 from soclecoh.obstruction import ObstructionContext
 from soclecoh.zmodlin import RingConfig, howell_form_rows
 
@@ -270,11 +277,11 @@ def test_witness_of_actual_coboundary_reproduces():
 
 def test_q8_factor_set_is_not_a_coboundary():
     ext = make_extension(catalog("quaternion8"), R2)
-    ec = extension_cocycle(ext)
+    alpha = extension_cocycle(ext, module_J(ext))
     # H^ab capped is Z/2; pair with the identity character to land in R
     act = CoeffAction.trivial(ext.quotient, R2)
     chi = ((1,),)
-    c = d2_on_E01(ec, chi, act)
+    c = d2_on_E01(alpha, ext.sigma, chi, act)
     assert CochainComplex(c.action).coboundary_witness(c) is None
 
 
@@ -285,16 +292,16 @@ def test_split_extension_factor_set_vanishes():
     ker = Subgroup.generated(g, (1,))
     q, proj = quotient(g, ker)
     ext = build_extension(g, ker, q, proj, R2)
-    ec = extension_cocycle(ext)
-    assert ec.alpha.is_zero()
+    alpha = extension_cocycle(ext, module_J(ext))
+    assert alpha.is_zero()
 
 
 def test_z4_over_z2_factor_set():
     ext = make_extension(catalog("cyclic", {"ell": 2, "k": 2}), R2)
-    ec = extension_cocycle(ext)
+    alpha = extension_cocycle(ext, module_J(ext))
     sigma = ext.sigma[0]
-    assert ec.alpha.value((sigma, sigma)) == (1,)
-    c = d2_on_E01(ec, ((1,),), CoeffAction.trivial(ext.quotient, R2))
+    assert alpha.value((sigma, sigma)) == (1,)
+    c = d2_on_E01(alpha, ext.sigma, ((1,),), CoeffAction.trivial(ext.quotient, R2))
     assert CochainComplex(c.action).coboundary_witness(c) is None
 
 
@@ -695,7 +702,7 @@ def test_cup_refuses_other_coefficients():
 
 def dual_sequence(em, m):
     """0 -> R -> Lambda_m^vee -> I_m^vee -> 0 with the f~(1) = 0 section."""
-    mid = action_for_quotient_module(em.ext, dual(em.lambda_m(m)))
+    mid = action_for_quotient_module(em.ext, dual(lambda_m(em.gr, em.i_m(m))))
     quot = action_for_quotient_module(em.ext, dual(em.i_m(m).module))
     return CoefficientSES(mid, quot)
 
@@ -851,9 +858,9 @@ def test_res_inf_is_coboundary():
 
 def test_inflation_preserves_cocycles():
     ext = make_extension(catalog("quaternion8"), R2)
-    ec = extension_cocycle(ext)
+    alpha = extension_cocycle(ext, module_J(ext))
     act = CoeffAction.trivial(ext.quotient, R2)
-    c = d2_on_E01(ec, ((1,),), act)
+    c = d2_on_E01(alpha, ext.sigma, ((1,),), act)
     lifted = inflation(ext.total, ext.projection, c)
     assert is_cocycle(lifted)
 
@@ -863,17 +870,17 @@ def test_inflation_preserves_cocycles():
 
 def test_d2_zero_class():
     ext = make_extension(catalog("quaternion8"), R2)
-    ec = extension_cocycle(ext)
+    alpha = extension_cocycle(ext, module_J(ext))
     act = CoeffAction.trivial(ext.quotient, R2)
-    z = d2_on_E01(ec, ((0,),), act)
+    z = d2_on_E01(alpha, ext.sigma, ((0,),), act)
     assert z.is_zero()
 
 
 def test_d2_q8_matches_classifying_class():
     ext = make_extension(catalog("quaternion8"), R2)
-    ec = extension_cocycle(ext)
+    alpha = extension_cocycle(ext, module_J(ext))
     act = CoeffAction.trivial(ext.quotient, R2)
-    d2chi = d2_on_E01(ec, ((1,),), act)
+    d2chi = d2_on_E01(alpha, ext.sigma, ((1,),), act)
     xs = one_cochains_basis(ext)
     cc = CochainComplex(act)
     monomials = [cup(xs[0], xs[0]), cup(xs[0], xs[1]), cup(xs[1], xs[1])]
@@ -895,7 +902,7 @@ def test_d2_rejects_nonequivariant_class():
     # is a real constraint: count matrices the check accepts vs Hom_G size.
     ext = make_extension(mixer32(), R2)
     em = ExtensionModules(ext)
-    ec = extension_cocycle(ext, em.j)
+    alpha = extension_cocycle(ext, em.j)
     rmod = trivial_module(R2, None, ngens=ext.d)
     act = CoeffAction.trivial(ext.quotient, R2)
     accepted = 0
@@ -903,7 +910,7 @@ def test_d2_rejects_nonequivariant_class():
     for bits in product(range(2), repeat=em.j.hab.rank):
         x = tuple((b,) for b in bits)
         try:
-            d2_on_E01(ec, x, act)
+            d2_on_E01(alpha, ext.sigma, x, act)
             accepted += 1
         except EquivarianceFailure:
             rejected += 1
@@ -922,9 +929,9 @@ def test_d2_split_extension_vanishes():
     ker = Subgroup.generated(g, (1,))
     q, proj = quotient(g, ker)
     ext = build_extension(g, ker, q, proj, R2)
-    ec = extension_cocycle(ext)
+    alpha = extension_cocycle(ext, module_J(ext))
     act = CoeffAction.trivial(ext.quotient, R2)
-    assert d2_on_E01(ec, ((1,),), act).is_zero()
+    assert d2_on_E01(alpha, ext.sigma, ((1,),), act).is_zero()
 
 
 # -- inflation surjectivity ------------------------------------------------------------
@@ -1115,10 +1122,11 @@ def test_extension_cocycle_transversal_independence():
             lifts=ext.lifts,
             ring=ring,
         )
-        a1 = extension_cocycle(ext)
-        a2 = extension_cocycle(perturbed, a1.bundle)
-        diff = a1.alpha.add(a2.alpha, sign=-1)
-        cc = CochainComplex(a1.alpha.action)
+        bundle = module_J(ext)
+        a1 = extension_cocycle(ext, bundle)
+        a2 = extension_cocycle(perturbed, bundle)
+        diff = a1.add(a2, sign=-1)
+        cc = CochainComplex(a1.action)
         assert cc.coboundary_witness(diff) is not None, name
 
 
@@ -1127,8 +1135,6 @@ def test_extension_cocycle_refuses_non_additive_coordinates():
     # factor set pushed through a map changed at one kernel element is not a
     # cocycle, and extension_cocycle refuses it
     from dataclasses import replace
-
-    from soclecoh.gmodule import module_J
 
     for name, ring, params in (
         ("unitriangular3", R4, {"ell": 2, "n": 2}),

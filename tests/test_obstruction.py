@@ -18,6 +18,7 @@ from helpers import (
     mixer32,
     per_phi_route_agreement,
     phi_is_zero,
+    psi_m2_formula_via_add,
     twisted_class2_spec,
 )
 from soclecoh import gmodule
@@ -25,7 +26,7 @@ from soclecoh.cli import _cochain_dump, _cochain_hash, _phi_matrix
 from soclecoh.cohomology import CochainComplex, Cochain, cup, is_cocycle
 from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
 from soclecoh.fingroup import catalog, group_from_json, make_extension
-from soclecoh.gmodule import mat_apply, scale_vec, vec_reduce
+from soclecoh.gmodule import descale_vec, mat_apply, scale_vec, vec_reduce
 from soclecoh.obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext, PhiMap
 from soclecoh.zmodlin import HowellBasis, LinearSolver, RingConfig, contains
 
@@ -558,6 +559,19 @@ def test_file_phis_lie_in_the_span_of_the_hom_rows(name, ring, params, tmp_path)
             assert contains(basis, scale_vec(coords, hm.module.orders, ring)), (name, m, gamma)
 
 
+@pytest.mark.parametrize("name,ring,params", GUARD_CASES)
+def test_m2_formula_equals_the_sum_of_cochain_adds(name, ring, params):
+    # route C adds its d cups into one dict; the oracle sums them with one
+    # Cochain.add each, from zero, on every Hom row at level 2
+    ctx = guard_ctx(name, ring, params)
+    hm, basis = ctx.hom_phi_basis(2)
+    for r in basis.rows:
+        phi = ctx.phi_from_matrix(2, hm.coords_to_matrix(descale_vec(r, hm.module.orders, ring)))
+        got = ctx.psi_m2_formula(phi)
+        assert got.action is ctx.r_action and got.degree == 3
+        assert got.same_values(psi_m2_formula_via_add(ctx, phi)), (name, phi.matrix)
+
+
 def test_m2_formula_rejects_other_levels():
     ctx = ctx_for("quaternion8")
     phi = ctx.phi_from_matrix(3, tuple((0,) for _ in range(ctx.em.i_m(3).module.rank)))
@@ -714,7 +728,7 @@ def test_d2_injective_on_top_graded_piece():
             x = hm.coords_to_matrix(c)
             if not any(any(r) for r in x):
                 continue
-            c = d2_on_E01(ctx.alpha, x, act)
+            c = d2_on_E01(ctx.alpha, ctx.ext.sigma, x, act)
             assert cc.coboundary_witness(c) is None, (name, m)
 
 
