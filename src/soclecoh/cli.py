@@ -33,7 +33,7 @@ from .errors import (
     SocleCohError,
     UnknownCatalogEntry,
 )
-from .cohomology import DEFAULT_H2_MAX_ORDER, inflation_h2_surjective
+from .cohomology import DEFAULT_H2_MAX_ORDER, ConnectingCochain, inflation_h2_surjective
 from .fingroup import ExtensionData, catalog, group_from_json, make_extension
 from .gmodule import ExtensionModules
 from .obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext
@@ -145,12 +145,20 @@ def _cochain_dump(c):
 
 
 def _cochain_hash(c) -> str:
-    """sha256 of _cochain_dump(c) as compact sorted JSON, fed entry by entry."""
+    """sha256 of _cochain_dump(c) as compact sorted JSON.  A ConnectingCochain
+    is fed one g1 at a time, each support tuple and each value formatted once."""
     h = hashlib.sha256(b'{"degree":%d,"entries":[' % c.degree)
     entry = "[[%s],[%s]]" % (",".join(["%d"] * c.degree), ",".join(["%d"] * c.action.module.rank))
+    chunks = (entry % (tup + vec) for tup, vec in c.entries())
+    if isinstance(c, ConnectingCochain):
+        ends = ["%d]]" % x for x in range(c.action.module.ring.modulus)]
+        tails = [(",%d" * len(t) % t + "],[", c.columns[v]) for t, v in sorted(c.f.values.items())]
+        heads = ["[[%d" % g for g in c.action.group.elements()]
+        chunks = (",".join([hd + t + ends[col[g]] for t, col in tails if col[g]])
+                  for g, hd in enumerate(heads))
     sep = ""
-    for tup, vec in c.entries():
-        h.update((sep + entry % (tup + vec)).encode())
+    for chunk in filter(None, chunks):
+        h.update((sep + chunk).encode())
         sep = ","
     h.update(b"]}")
     return h.hexdigest()

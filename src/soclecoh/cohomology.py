@@ -401,7 +401,7 @@ class CyclicTensorResolution:
     def vanishes_on_chain_map(self, f: "Cochain | ConnectingCochain") -> bool:
         """Does f vanish on every phi_k(e_a)?  Unguarded: for a Z/q-valued
         cocycle of degree <= 3, which the caller vouches for, that is
-        [f] = 0.  f is a Cochain or connecting's ConnectingCochain, read
+        [f] = 0.  f is a Cochain or contract's ConnectingCochain, read
         at the few tuples of the chain map through value(t)."""
         value = f.value
         return all(
@@ -506,23 +506,29 @@ class ConnectingCochain:
         return Cochain(self.action, self.degree, dict(self.entries()))
 
 
-def connecting(ses: CoefficientSES, f: Cochain) -> ConnectingCochain:
+def contract(ses: CoefficientSES, f: Cochain) -> ConnectingCochain:
     """delta f = d(section . f) on coordinate 0 of mid, as a contraction.
 
     The section puts 0 there and only the first face g1.(0, f(g2..)) of the
     bar differential mixes coordinates: (delta f)(g1, g2..) is
     sum_j f(g2..)_j mid[g1][1 + j][0], one column table per distinct value
-    of f.  Coordinates 1.. are d(f): f must be a cocycle."""
+    of f.  Coordinates 1.. are d(f): f must be a cocycle, which is unchecked."""
     if f.action is not ses.quot and f.action.module is not ses.quot.module:
         raise DimensionMismatch("cochain does not take values in the quotient module")
-    if not is_cocycle(f):
-        raise NotACocycle("connecting map needs a cocycle")
     q = ses.mid.module.ring.modulus
     columns = {}
     for vec in set(f.values.values()):
         nz = [(j, v) for j, v in enumerate(vec) if v]
         columns[vec] = [sum(v * col[j] for j, v in nz) % q for col in ses.column0]
     return ConnectingCochain(ses.sub, f.degree + 1, f, columns)
+
+
+def connecting(ses: CoefficientSES, f: Cochain) -> ConnectingCochain:
+    """contract(ses, f) for an arbitrary f, guarded by is_cocycle(f)."""
+    delta = contract(ses, f)
+    if not is_cocycle(f):
+        raise NotACocycle("connecting map needs a cocycle")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +568,11 @@ def d2_on_E01(alpha: Cochain, sigma, x_matrix, target: CoeffAction) -> Cochain:
 
     alpha is the factor set from extension_cocycle, whose module is the
     capped H^ab, and sigma the extension's basis of G.  x_matrix maps capped
-    H^ab coordinates to target module coordinates and must be G-equivariant;
-    the result is a 2-cocycle on G with M values.  Its cocycle check is left
-    to the consumer: `connecting`, the degree-3 guard of `is_coboundary`, or
-    `coboundary_witness`.
+    H^ab coordinates (orders o_k) to target ones (orders o_j), G-equivariantly
+    (checked here) and well-defined, o_k x[k][j] = 0 mod o_j: then d(x(alpha))
+    = x(d alpha) = 0, and the 2-cocycle result is not checked.  x_phi =
+    dual_transpose(phi) is well-defined: x[k][j] = phi[j][k] o_j / o_k mod o_j,
+    an exact division as PhiMap checks o_j phi[j][k] = 0 mod o_k.
     """
     hab = alpha.action.module
     mod = target.module

@@ -34,7 +34,7 @@ from .cohomology import (
     ConnectingCochain,
     CyclicTensorResolution,
     action_for_quotient_module,
-    connecting,
+    contract,
     cup,
     d2_on_E01,
     extension_cocycle,
@@ -122,7 +122,7 @@ class PhiMap:
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    """Psi of one phi: the degree-3 cocycle in connecting's factored form,
+    """Psi of one phi: the degree-3 cocycle in contract's factored form,
     its class bit, and the route agreement certificates (None when only the
     generic route ran)."""
 
@@ -226,11 +226,11 @@ class ObstructionContext:
         )
 
     def psi_generic(self, phi: PhiMap) -> ObstructionResult:
-        """Psi(phi) = delta(d2(phi)), factored, and its H^3 bit.  Psi is not
-        checked again for the cocycle property: delta maps the cocycle d2(phi)
-        to a cocycle, and each premise is checked at run time (README, "The
-        H^3 decision")."""
-        psi = connecting(self.dual_sequence(phi.m), self.d2_of_phi(phi))
+        """Psi(phi) = delta(d2(phi)), factored, and its H^3 bit.  Neither
+        d2(phi) nor Psi is checked for the cocycle property: d2(phi) is a
+        cocycle and delta maps it to one, and each premise is checked at run
+        time (README, "The H^3 decision")."""
+        psi = contract(self.dual_sequence(phi.m), self.d2_of_phi(phi))
         return ObstructionResult(psi, self.resolution.vanishes_on_chain_map(psi))
 
     def psi_closed_form(self, phi: PhiMap) -> Cochain:
@@ -300,7 +300,7 @@ class ObstructionContext:
             ses = self.dual_sequence(m)
             closed = m2 = True
             for phi in rows:
-                psi = connecting(ses, self.d2_of_phi(phi)).materialize()
+                psi = contract(ses, self.d2_of_phi(phi)).materialize()
                 closed = closed and psi.same_values(self.psi_closed_form(phi))
                 if include_m2 and m2:
                     m2 = self.resolution.is_coboundary(psi.add(self.psi_m2_formula(phi), sign=-1))

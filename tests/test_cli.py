@@ -121,6 +121,23 @@ def test_obstruction_dump_cochains(capsys):
             assert "witness" not in rec
 
 
+@pytest.mark.parametrize("group, m", [
+    (["--catalog", "quaternion8", "--ell", "2", "--n", "1"], "2"),
+    (["--catalog", "quaternion8", "--ell", "2", "--n", "1"], "3"),
+    (["--catalog", "unitriangular3", "--params", "n=2", "--ell", "2", "--n", "2"], "2"),
+])
+def test_psi_hash_is_the_sha256_of_the_dumped_psi(capsys, group, m):
+    # psi_hash is hashed from the factored Psi one g1 at a time; end to end it
+    # is the sha256 of the record's psi as compact sorted JSON
+    code, out, _ = run(capsys, "obstruction", *group, "--m", m, "--enumerate", "--dump-cochains")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert any(rec["psi"]["entries"] for rec in records)
+    for rec in records:
+        blob = json.dumps(rec["psi"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == rec["psi_hash"], rec["phi"]
+
+
 def test_obstruction_and_verify_build_no_bar_solver(capsys, monkeypatch):
     # the H^3 decision needs no bar matrix: only a --dump-cochains witness does
     calls = []
@@ -661,23 +678,29 @@ def test_order_512_obstruction_with_order_64_quotient():
 
 # (direction-2 phis checked, zero classes, image size) of exhaustive verify on
 # the twisted class-2 groups, the same at m = 2 and 3: J = J_1 is cyclic, so
-# every phi_gamma is 0, and 0 is the one phi with a zero class
+# every phi_gamma is 0, and 0 is the one phi with a zero class.  (7, 1, 7) has
+# order 343 and (2, 3, 8) order 512
 TWISTED_VERIFY = {
     (3, 1, 3): (9, 1, 1), (2, 2, 4): (16, 1, 1), (2, 2, 2): (4, 1, 1), (5, 1, 5): (25, 1, 1),
+    (7, 1, 7): (49, 1, 1), (2, 3, 8): (64, 1, 1),
+}
+# sha256 of the report of one case, read from the relative path g.json
+TWISTED_VERIFY_SHA256 = {
+    ((7, 1, 7), 3): "f3054dce30e1a730f4235c191c8ac9807c07fb77590ebc18fb3ec33e72fcb77f",
 }
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("case", TWISTED_CLASS2)
-def test_verify_asserts_direction2_past_ell_n_2(capsys, tmp_path, case, m):
-    # groups where the H^2 hypothesis holds at l^n in {3, 4, 5}: direction 2
-    # is asserted, and it passes
+@pytest.mark.parametrize("case", TWISTED_CLASS2 + ((7, 1, 7), (2, 3, 8)))
+def test_verify_asserts_direction2_past_ell_n_2(capsys, monkeypatch, tmp_path, case, m):
+    # groups where the H^2 hypothesis holds at l^n in {3, 4, 5, 7, 8}:
+    # direction 2 is asserted, and it passes
     ell, n, _ = case
-    gf = tmp_path / "g.json"
-    gf.write_text(json.dumps(twisted_class2_spec(*case)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps(twisted_class2_spec(*case)))
     code, out, _ = run(
-        capsys, "verify", "--group-file", str(gf), "--ell", str(ell), "--n", str(n),
-        "--m", str(m), "--exhaustive", "--max-order", "125",
+        capsys, "verify", "--group-file", "g.json", "--ell", str(ell), "--n", str(n),
+        "--m", str(m), "--exhaustive", "--max-order", "512",
     )
     assert code == 0
     rep = json.loads(out)
@@ -685,6 +708,8 @@ def test_verify_asserts_direction2_past_ell_n_2(capsys, tmp_path, case, m):
     assert rep["hypothesis"]["holds"] and rep["direction1"]["passed"]
     assert d2["asserted"] and d2["passed"] and rep["counterexamples"] == []
     assert (d2["checked"], d2["zero_class_count"], d2["image_size"]) == TWISTED_VERIFY[case]
+    if (case, m) in TWISTED_VERIFY_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == TWISTED_VERIFY_SHA256[case, m]
 
 
 @pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError])

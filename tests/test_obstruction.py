@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from math import gcd
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from helpers import (
 from soclecoh import gmodule
 from soclecoh.cli import _cochain_dump, _cochain_hash, _phi_matrix
 from soclecoh.cohomology import CochainComplex, Cochain, cup, is_cocycle
-from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, NotACocycle, WrongLevel
+from soclecoh.errors import EquivarianceFailure, GammaNotInSocleLevel, WrongLevel
 from soclecoh.fingroup import catalog, group_from_json, make_extension
 from soclecoh.gmodule import descale_vec, mat_apply, scale_vec, vec_reduce
 from soclecoh.obstruction import DEFAULT_HOM_ENUM_BOUND, ObstructionContext, PhiMap
@@ -181,42 +182,49 @@ def test_psi_generic_builds_and_runs_no_solver(monkeypatch):
 
 
 def test_psi_generic_takes_no_whole_differential(monkeypatch):
-    # the connecting map is a contraction and every guard on the way runs on
-    # the generator cut, so no per-phi differential covers every last argument;
-    # d2(phi) is checked for the cocycle property once, by `connecting`
+    # the connecting map is a contraction, and neither d2(phi) nor Psi is
+    # checked for the cocycle property, so no per-phi path runs the bar
+    # differential: not psi_generic, not obstruction_with_routes once its
+    # level's certificate is built, and not verify_theorem at all.  The
+    # count is the same for 2 phis as for 6
     from soclecoh import cohomology
 
-    whole, cut = [], []
+    calls = []
     build = cohomology.differential
 
     def counted(f, last=None):
-        (whole if last is None else cut).append(f.degree)
+        calls.append(f.degree)
         return build(f, last)
+
+    def count(run):
+        calls.clear()
+        monkeypatch.setattr(cohomology, "differential", counted)
+        run()
+        monkeypatch.undo()
+        return len(calls)
 
     for name, ring, params, m in PSI_CASES:
         ctx = ctx_for(name, ring, params)
-        phis = list(ctx.random_phi(m, random.Random(m), 6))
-        whole.clear()
-        cut.clear()
-        monkeypatch.setattr(cohomology, "differential", counted)
-        for phi in phis:
-            ctx.psi_generic(phi)
-        monkeypatch.undo()
-        # one degree-2 cut per phi, connecting's guard on d2(phi); Psi itself
-        # is not checked again, so no degree-3 differential runs
-        assert phis and whole == [] and cut == [2] * len(phis), (name, m, cut)
+        ctx.route_certificate(m, m == 2)
+        for n in (2, 6):
+            phis = list(ctx.random_phi(m, random.Random(m), n))
+            counts = [
+                count(lambda: [ctx.psi_generic(phi) for phi in phis]),
+                count(lambda: [ctx.obstruction_with_routes(phi, m == 2) for phi in phis]),
+                count(lambda: ctx.verify_theorem(m, ("sampled", 5, n), max_order=64)),
+            ]
+            assert counts == [0, 0, 0], (name, m, n, counts)
 
 
-def test_psi_generic_refuses_a_broken_per_phi_premise(monkeypatch):
-    # Psi = delta(d2(phi)) is a cocycle because d2(phi) is, and psi_generic
-    # refuses each per-phi premise of that: x_phi must be equivariant
-    # (d2_on_E01) and d2(phi) a cocycle (connecting's guard).  The premises
-    # fixed per context are refused where they are built: alpha in
-    # extension_cocycle, the modules in GModule, the sequence in CoefficientSES.
+def test_a_broken_d2_fails_the_degree2_oracle(monkeypatch):
+    # a d2_on_E01 whose output is off by one entry: psi_generic no longer
+    # refuses it, but the oracle that psi_checks runs on every phi,
+    # is_cocycle(d2(phi)), does
     from soclecoh import obstruction
 
     ctx = ctx_for("mixer32")
     phis = [phi for phi in ctx.enumerate_phi(2) if not phi_is_zero(phi)]
+    assert phis and all(is_cocycle(ctx.d2_of_phi(phi)) for phi in phis)
     build_d2 = obstruction.d2_on_E01
 
     def perturbed_d2(*args):
@@ -225,9 +233,18 @@ def test_psi_generic_refuses_a_broken_per_phi_premise(monkeypatch):
 
     monkeypatch.setattr(obstruction, "d2_on_E01", perturbed_d2)
     for phi in phis:
-        with pytest.raises(NotACocycle):
-            ctx.psi_generic(phi)
-    monkeypatch.undo()
+        ctx.psi_generic(phi)
+        assert not is_cocycle(ctx.d2_of_phi(phi)), phi.matrix
+
+
+def test_psi_generic_refuses_a_broken_per_phi_premise():
+    # Psi = delta(d2(phi)) is a cocycle because d2(phi) is, and d2(phi) is a
+    # cocycle because alpha is and x_phi is equivariant and well-defined.
+    # psi_generic refuses the one premise that varies with phi and is not
+    # fixed by PhiMap: x_phi must be equivariant (d2_on_E01).  The premises
+    # fixed per context are refused where they are built: alpha in
+    # extension_cocycle, the modules in GModule, the sequence in CoefficientSES.
+    ctx = ctx_for("mixer32")
 
     # phi matrices that only fail to commute with the action, built past
     # PhiMap's validation: their x_phi is not equivariant either
@@ -247,6 +264,28 @@ def test_psi_generic_refuses_a_broken_per_phi_premise(monkeypatch):
             ctx.psi_generic(phi)
         refused += 1
     assert refused
+
+
+def test_dual_transpose_of_a_well_defined_phi_is_well_defined():
+    # PhiMap checks o_a phi[a][b] = 0 mod o_b; then x = dual_transpose(phi)
+    # has o_b x[b][a] = 0 mod o_a, so x is well-defined on the capped H^ab
+    # (the proof is in d2_on_E01's docstring).  Random matrices over mixed
+    # orders of 2, 3 and 5 powers, not only equivariant ones
+    rng = random.Random(26)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        orders_in = [p ** rng.randrange(4) for _ in range(rng.randrange(1, 4))]
+        orders_out = [p ** rng.randrange(4) for _ in range(rng.randrange(1, 4))]
+        phi = [
+            [ob // gcd(ob, oa) * rng.randrange(gcd(ob, oa)) for ob in orders_out]
+            for oa in orders_in
+        ]
+        for oa, row in zip(orders_in, phi):
+            assert all(oa * v % ob == 0 for v, ob in zip(row, orders_out))
+        x = gmodule.dual_transpose(phi, orders_in, orders_out)
+        assert all(
+            ob * v % oa == 0 for ob, row in zip(orders_out, x) for v, oa in zip(row, orders_in)
+        ), (orders_in, orders_out, phi)
 
 
 R8 = RingConfig(2, 3)
@@ -304,8 +343,9 @@ def blob_hash(c):
 def psi_checks():
     """One record per phi of GUARD_CASES and SEEDED_GUARD_CASES: the factored
     Psi that psi_generic returns against its materialized cochain, the dense
-    contraction and the lifted bar differential.  Each Psi is dropped once
-    checked, since together they take hundreds of MB."""
+    contraction and the lifted bar differential, and the cocycle guards that
+    psi_generic does not run, on Psi and on d2(phi).  Each Psi is dropped
+    once checked, since together they take hundreds of MB."""
     def contexts():
         for name, ring, params in GUARD_CASES:
             yield (name, params), guard_ctx(name, ring, params), (2, 3), None
@@ -323,16 +363,23 @@ def psi_checks():
                 phis = ctx.random_phi(m, random.Random(m if seed is None else seed), count)
             ses = ctx.dual_sequence(m)
             points = {t for chain in ctx.resolution.chain_map[3].values() for t in chain}
+            hab, quot = ctx.alpha.action.module.orders, ses.quot.module.orders
             for phi in phis:
                 res = ctx.psi_generic(phi)
                 psi = res.psi.materialize()
                 f = ctx.d2_of_phi(phi)
                 dense = connecting_dense(ses, f).values
+                x = ctx.x_phi_matrix(phi)
                 out.append({
                     "case": (case, m),
                     "size": len(psi.values),
                     "cocycle": is_cocycle(psi),
-                    "streamed_hash": _cochain_hash(res.psi) == blob_hash(psi),
+                    "d2_cocycle": is_cocycle(f),
+                    "x_well_defined": all(
+                        ok * v % oj == 0 for ok, row in zip(hab, x) for v, oj in zip(row, quot)
+                    ),
+                    # the chunked hash, the whole blob, and the entry-by-entry stream
+                    "streamed_hash": _cochain_hash(res.psi) == blob_hash(psi) == _cochain_hash(psi),
                     "entrywise": list(res.psi.entries()) == sorted(dense.items())
                     and psi.values == dense == connecting_via_lift(ses, f).values,
                     "points": all(res.psi.value(t) == psi.value(t) for t in points),
@@ -350,6 +397,15 @@ def test_every_psi_passes_the_degree3_guard(psi_checks):
     # the cases produce, so a route that broke the cocycle property would show
     assert failing(psi_checks, "cocycle") == []
     assert any(rec["size"] for rec in psi_checks)
+
+
+def test_every_d2_of_phi_passes_the_degree2_guard(psi_checks):
+    # psi_generic does not run is_cocycle on d2(phi): alpha is a 2-cocycle
+    # and x_phi is equivariant and well-defined, so d(x_phi(alpha)) =
+    # x_phi(d alpha) = 0.  This runs the guard, and checks well-definedness,
+    # on every phi the cases produce
+    assert failing(psi_checks, "d2_cocycle") == []
+    assert failing(psi_checks, "x_well_defined") == []
 
 
 def test_streamed_psi_hash_matches_the_json_blob(psi_checks):
