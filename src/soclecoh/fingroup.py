@@ -144,14 +144,15 @@ def _validate_table(cayley):
             break
     if identity is None:
         raise NotAGroup("no identity element")
-    inv = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if cayley[a][b] == identity and cayley[b][a] == identity:
-                inv[a] = b
-                break
-        if inv[a] is None:
-            raise NotAGroup("element has no inverse", witness=a)
+    inv = []
+    for a, row in enumerate(cayley):
+        # the first right inverse, if two-sided, is the first two-sided one
+        b = row.index(identity) if identity in row else None
+        if b is None or cayley[b][a] != identity:
+            b = next((b for b in range(n) if row[b] == identity == cayley[b][a]), None)
+            if b is None:
+                raise NotAGroup("element has no inverse", witness=a)
+        inv.append(b)
     return identity, inv
 
 
@@ -262,11 +263,15 @@ class Subgroup:
         return x in set(self.elements)
 
     def normality_witness(self) -> None:
+        """Raise NotNormal with a witness (s, h), s a generator of the parent
+        and s·h·s^-1 not in the subgroup.  The generators are enough: sHs^-1
+        has |H| elements, so sHs^-1 ⊆ H makes it H, and conjugation by a
+        product is the composite of the conjugations.  O(|S|·|H|)."""
         es = set(self.elements)
-        for g in self.parent.elements():
+        for s in self.parent.generators:
             for h in self.elements:
-                if self.parent.conj(g, h) not in es:
-                    raise NotNormal("subgroup is not normal", witness=(g, h))
+                if self.parent.conj(s, h) not in es:
+                    raise NotNormal("subgroup is not normal", witness=(s, h))
 
     def as_group(self):
         """The subgroup as a standalone FinGroup plus index maps.
@@ -289,15 +294,26 @@ class Subgroup:
 
 
 def descending_step(g: FinGroup, ring: RingConfig) -> Subgroup:
-    """Subgroup generated by all commutators and all l^n-th powers."""
+    """H = [g, g]·g^q, q = l^n, as the normal closure N of the [s, t] and s^q
+    over the generators s, t of g.
+
+    N ⊆ H because H contains them and is normal: the commutators and the
+    q-th powers are each closed under conjugation.  g/N is generated by commuting images of order
+    dividing q, so it is abelian of exponent dividing q, and N ⊇ H.  N grows
+    from its generators X until s·x·s^-1 ∈ N for every x in X and generator
+    s of g, which makes N normal (see Subgroup.normality_witness).
+    """
     q = ring.modulus
-    gens = set()
-    for a in g.elements():
-        gens.add(g.power(a, q))
-        for b in g.elements():
-            gens.add(g.comm(a, b))
-    gens.discard(g.identity)
-    return Subgroup.generated(g, sorted(gens))
+    gens = g.generators
+    todo = [g.comm(s, t) for s in gens for t in gens] + [g.power(s, q) for s in gens]
+    xs, members = [], {g.identity}
+    while todo:
+        x = todo.pop()
+        if x not in members:
+            xs.append(x)
+            members = set(g.closure(xs))
+            todo += [g.conj(s, x) for s in gens]
+    return Subgroup(g, tuple(sorted(members)))
 
 
 def quotient(g: FinGroup, normal: Subgroup):
@@ -323,11 +339,24 @@ def quotient(g: FinGroup, normal: Subgroup):
     gens = list(dict.fromkeys(proj[x] for x in g.generators if proj[x] != 0))
     labels = tuple(g.labels[r] for r in reps) if g.labels else None
     qgrp = FinGroup(table, gens, labels=labels, relabel=False)
-    for a in g.elements():
-        for b in g.elements():
-            if proj[g.mul(a, b)] != qgrp.mul(proj[a], proj[b]):
-                raise NotAGroup("projection is not a homomorphism", witness=(a, b))
+    _check_homomorphism(g, qgrp, proj)
     return qgrp, proj
+
+
+def _check_homomorphism(g: FinGroup, qgrp: FinGroup, proj) -> None:
+    """proj(1) = 1 and proj(a·s) = proj(a)·proj(s) for every a and generator s.
+
+    qgrp is a validated group, so by induction on the length of b as a word
+    in the generators, proj(a·b) = proj(a)·proj(b) for all a, b: the closure
+    argument of Light's test.  O(n·|S|).
+    """
+    if proj[g.identity] != qgrp.identity:
+        raise NotAGroup("projection is not a homomorphism", witness=(g.identity, g.identity))
+    for a, row in enumerate(g.cayley):
+        qrow = qgrp.cayley[proj[a]]
+        for s in g.generators:
+            if proj[row[s]] != qrow[proj[s]]:
+                raise NotAGroup("projection is not a homomorphism", witness=(a, s))
 
 
 @dataclass(frozen=True)

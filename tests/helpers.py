@@ -6,8 +6,11 @@ whole differentials what the library decides without them, connecting_dense
 writes out entry by entry the Psi that the library keeps factored, and
 image_membership_via_solve solves for a gamma where the library tests one
 containment, per_phi_route_agreement compares the three Psi routes on one
-phi where the library decides them once per level, and psi_m2_formula_via_add
-sums route C by whole-cochain adds where the library fills one dict.  The paper's side
+phi where the library decides them once per level, psi_m2_formula_via_add
+sums route C by whole-cochain adds where the library fills one dict, and
+descending_step_all_pairs, normality_failure_all_elements and
+is_homomorphism_all_pairs loop over all elements or all pairs where the
+library works on the generators.  The paper's side
 constructions are oracles too: J_m through invariant homs
 (jm_via_invariant_homs), the quotient group G_phi with its differential
 (build_g_phi, d2_via_g_phi), inflation and restriction of cochains, quotient
@@ -202,6 +205,34 @@ def _per_pair_group(elems, mul, gens, ell) -> FinGroup:
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[mul(x, y)] for y in elems] for x in elems]
     return from_cayley_table(table, [index[g] for g in gens], labels=[str(x) for x in elems], ell=ell)
+
+
+def descending_step_all_pairs(g: FinGroup, ring) -> Subgroup:
+    """[g, g]·g^q generated by every commutator [a, b] and every a^q: the
+    test oracle for the normal closure over the generators."""
+    q = ring.modulus
+    gens = {g.power(a, q) for a in g.elements()}
+    gens |= {g.comm(a, b) for a in g.elements() for b in g.elements()}
+    gens.discard(g.identity)
+    return Subgroup.generated(g, sorted(gens))
+
+
+def normality_failure_all_elements(sub: Subgroup):
+    """The first (x, h) over every x in the parent with x·h·x^-1 not in sub,
+    or None: the test oracle for Subgroup.normality_witness."""
+    g, es = sub.parent, set(sub.elements)
+    return next(
+        ((x, h) for x in g.elements() for h in sub.elements if g.conj(x, h) not in es), None
+    )
+
+
+def is_homomorphism_all_pairs(g: FinGroup, qgrp: FinGroup, proj) -> bool:
+    """proj(a·b) = proj(a)·proj(b) for every pair a, b: the test oracle for
+    the generator check of fingroup.quotient."""
+    return all(
+        proj[g.mul(a, b)] == qgrp.mul(proj[a], proj[b])
+        for a in g.elements() for b in g.elements()
+    )
 
 
 def cocycle_basis(cc: CochainComplex, k: int) -> HowellBasis:

@@ -6,18 +6,29 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import per_pair_catalog
+from helpers import (
+    TWISTED_CLASS2,
+    c2_wreath_c4_spec,
+    descending_step_all_pairs,
+    is_homomorphism_all_pairs,
+    mixer32,
+    normality_failure_all_elements,
+    per_pair_catalog,
+    twisted_class2_spec,
+)
 from soclecoh import fingroup
 from soclecoh.errors import (
     GeneratorsDontGenerate,
     InconsistentPresentation,
     NotAGroup,
     NotEllGroup,
+    NotNormal,
     QuotientNotFree,
     SizeBound,
     UnknownCatalogEntry,
 )
 from soclecoh.fingroup import (
+    FinGroup,
     Subgroup,
     abelian_structure,
     catalog,
@@ -160,6 +171,38 @@ def test_light_test_matches_cubic_scan():
         assert accepted == expected, t
         accepted_count += accepted
     assert accepted_count > 5 and witnessed > 600
+
+
+def first_two_sided_inverses(t):
+    """Test-local oracle: for each a, the first b with ab = ba = identity."""
+    e = next(e for e in range(len(t)) if all(t[e][x] == x == t[x][e] for x in range(len(t))))
+    return e, [next((b for b in range(len(t)) if t[a][b] == e == t[b][a]), None) for a in range(len(t))]
+
+
+def test_inverse_search_matches_scan():
+    # row.index finds the first right inverse; only when it is not a left
+    # inverse as well does the scan run, so the result and the refusal are
+    # the scan's
+    rng = random.Random(11)
+    refused = 0
+    for t, _ in one_entry_corruptions(rng, 300):
+        try:
+            got = fingroup._validate_table(t)
+        except NotAGroup as exc:
+            if str(exc).startswith("no identity"):
+                continue
+            assert str(exc).startswith("element has no inverse")
+            identity, inv = first_two_sided_inverses(t)
+            assert inv.index(None) == exc.witness
+            refused += 1
+            continue
+        identity, inv = first_two_sided_inverses(t)
+        assert got == (identity, inv)
+    # element 1's first right inverse, 2, is not a left inverse; the scan
+    # goes on to 3
+    t = [[0, 1, 2, 3], [1, 2, 0, 0], [2, 1, 3, 0], [3, 0, 0, 1]]
+    assert fingroup._validate_table(t) == first_two_sided_inverses(t) == (0, [0, 3, 3, 1])
+    assert refused > 100
 
 
 def per_pair_class2_table(d, q, comm_map, powers, central_orders):
@@ -505,3 +548,166 @@ def test_descending_step_normal_with_abelian_quotient():
         q, _ = quotient(g, h)
         assert q.is_abelian()
         assert all(q.power(x, ring.modulus) == q.identity for x in q.elements())
+
+
+def large_group_presentation(seed):
+    """A seeded class-2 presentation of order 512, d = 4 over Z/2 with five
+    central generators of order 2, whose ten commutator and power words are
+    drawn uniformly until they span the centre."""
+    rng = random.Random(seed)
+    d, s = 4, 5
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    while True:
+        words = [[rng.randrange(2) for _ in range(s)] for _ in range(len(pairs) + d)]
+        if f2_rank(words) == s:
+            break
+    return from_class2_presentation(
+        d, R2, dict(zip(pairs, words)), words[len(pairs):], central_orders=[2] * s
+    )
+
+
+def f2_rank(vectors):
+    pivots = {}
+    for v in vectors:
+        x = int("".join(map(str, v)), 2)
+        while x:
+            top = x.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    return len(pivots)
+
+
+R5 = RingConfig(5, 1)
+R8 = RingConfig(2, 3)
+
+# Every catalog family at the rings the tier-1 tests split it over, mixer32,
+# the twisted class-2 groups, C_2 wr C_4, and three order-512 presentations.
+# C_2 wr C_4 at q = 4 needs conjugation by its second generator to close
+# <[s, t], s^q> up to a normal subgroup, and by its first once they are
+# listed in reverse.
+SPLIT_CASES = [
+    ("cyclic", R2, {"ell": 2, "k": 3}),
+    ("cyclic", R4, {"ell": 2, "k": 3}),
+    ("cyclic", R3, {"ell": 3, "k": 2}),
+    ("elementary_abelian", R2, {"ell": 2, "d": 3}),
+    ("abelian_product", R2, {"ell": 2, "exponents": (2, 1)}),
+    ("abelian_product", R4, {"ell": 2, "exponents": (2, 2)}),
+    ("abelian_product", R3, {"ell": 3, "exponents": (1, 1)}),
+    ("abelian_product", R2, {"ell": 2, "exponents": (2, 2, 2, 1, 1, 1)}),
+    ("quaternion8", R2, None),
+    ("dihedral8", R2, None),
+    ("heisenberg", R2, {"ell": 2}),
+    ("heisenberg", R3, {"ell": 3}),
+    ("heisenberg", R5, {"ell": 5}),
+    ("unitriangular3", R4, {"ell": 2, "n": 2}),
+    ("unitriangular3", R8, {"ell": 2, "n": 3}),
+    ("wreath_z4_z2", R2, None),
+    ("free_class2", R2, {"d": 2, "ell": 2, "n": 1}),
+    ("free_class2", R3, {"d": 2, "ell": 3, "n": 1}),
+    ("free_class2", R2, {"d": 3, "ell": 2, "n": 1}),
+    ("mixer32", R2, None),
+    ("c2_wreath_c4", R2, None),
+    ("c2_wreath_c4", R4, None),
+    ("c2_wreath_c4", R4, "reversed"),
+] + [
+    ("twisted", RingConfig(ell, n), (ell, n, z)) for ell, n, z in TWISTED_CLASS2 + ((3, 2, 3),)
+] + [("large_group", R2, seed) for seed in (1, 2, 3)]
+
+
+def split_case_group(name, params):
+    if name == "mixer32":
+        return mixer32()
+    if name == "c2_wreath_c4":
+        spec = c2_wreath_c4_spec()
+        if params == "reversed":
+            spec["generators"].reverse()
+        return group_from_json(spec)
+    if name == "twisted":
+        return group_from_json(twisted_class2_spec(*params))
+    if name == "large_group":
+        return large_group_presentation(params)
+    return catalog(name, params)
+
+
+def split_case_id(case):
+    name, ring, params = case
+    if isinstance(params, dict):
+        params = "-".join(f"{k}={v}" for k, v in params.items())
+    return f"{name}-q{ring.modulus}-{params}"
+
+
+@pytest.mark.parametrize("name,ring,params", SPLIT_CASES, ids=map(split_case_id, SPLIT_CASES))
+def test_split_matches_all_pairs_oracle(name, ring, params):
+    # the normal closure over the generators is [g, g]·g^q, normal under
+    # every element, and the projection checked on the generators is a
+    # homomorphism on every pair
+    g = split_case_group(name, params)
+    h = descending_step(g, ring)
+    assert h.elements == descending_step_all_pairs(g, ring).elements
+    assert normality_failure_all_elements(h) is None
+    qgrp, proj = quotient(g, h)
+    assert is_homomorphism_all_pairs(g, qgrp, proj)
+
+
+def test_corrupted_projection_is_refused():
+    # a projection changed at one non-identity element is refused, with a
+    # witness (a, s) that fails for a generator s
+    rng = random.Random(3)
+    refused = 0
+    for name, ring, params in SPLIT_CASES:
+        if name == "large_group":
+            continue
+        g = split_case_group(name, params)
+        qgrp, proj = quotient(g, descending_step(g, ring))
+        if qgrp.order == 1:
+            continue
+        for _ in range(3):
+            x = rng.randrange(1, g.order)
+            bad = list(proj)
+            bad[x] = rng.choice([y for y in qgrp.elements() if y != proj[x]])
+            assert not is_homomorphism_all_pairs(g, qgrp, bad)
+            with pytest.raises(NotAGroup, match="projection is not a homomorphism") as exc:
+                fingroup._check_homomorphism(g, qgrp, bad)
+            a, s = exc.value.witness
+            assert s in g.generators
+            assert bad[g.mul(a, s)] != qgrp.mul(bad[a], bad[s])
+            refused += 1
+    assert refused > 50
+
+
+def test_quotient_by_non_normal_subgroup():
+    # every cyclic subgroup that the all-elements scan finds not normal is
+    # refused, with a witness (s, h) where s is a generator
+    refused = 0
+    for g in (catalog("dihedral8"), catalog("wreath_z4_z2"), group_from_json(c2_wreath_c4_spec()),
+              FinGroup(s3_table(), [1, 4])):
+        for x in g.elements():
+            sub = Subgroup.generated(g, (x,))
+            if normality_failure_all_elements(sub) is None:
+                quotient(g, sub)
+                continue
+            with pytest.raises(NotNormal, match="subgroup is not normal") as exc:
+                quotient(g, sub)
+            s, h = exc.value.witness
+            assert s in g.generators and h in sub
+            assert g.conj(s, h) not in sub
+            refused += 1
+    assert refused > 20
+
+
+def test_split_makes_no_all_pairs_loop(monkeypatch):
+    # make_extension on an order-512 group: |S|^2 commutators, and fewer
+    # than 4·n·|S| products and conjugations
+    g = large_group_presentation(1)
+    calls = {"comm": 0, "mul": 0, "conj": 0}
+    for op in calls:
+        def counted(self, *args, _op=op, _f=getattr(FinGroup, op)):
+            calls[_op] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(FinGroup, op, counted)
+    ext = make_extension(g, R2)
+    assert ext.quotient.order == 16
+    assert calls["comm"] == len(g.generators) ** 2
+    assert calls["mul"] + calls["conj"] < 4 * g.order * len(g.generators)
